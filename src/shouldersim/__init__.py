@@ -11,11 +11,8 @@ from .gpi import (
     ControllerState,
     GpiDesign,
     GpiGains,
-    RationalTf,
     SaturationLimits,
     closed_loop_char_poly,
-    closed_loop_poles_analysis,
-    compensator_tf,
     compute_gains,
     control_step,
     feedforward,
@@ -38,15 +35,11 @@ from .trajectory import (
 )
 from .kinematics import (
     ArmLength,
-    DhRow,
     ShoulderAngles,
     WristPosition,
-    dh_matrix,
     forward,
     in_workspace,
     inverse,
-    shoulder_dh_rows,
-    shoulder_transform,
 )
 from .sysid import (
     DiscreteArx2,
@@ -79,6 +72,7 @@ from .harness import (
     load_series_csv,
     run_scenario,
     save_scenario,
+    write_artifacts,
 )
 
 __version__ = "0.1.0"

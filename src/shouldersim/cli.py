@@ -18,8 +18,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, presets, sysid
-from .gpi import GpiDesign, compensator_tf, compute_gains, closed_loop_poles_analysis
+from .gpi import GpiDesign, closed_loop_char_poly, compute_gains
 from .kinematics import ArmLength, ShoulderAngles, WristPosition, forward, inverse
 from .plant import SecondOrderTf
 from .trajectory import DEFAULT_DT, load_teach_csv
@@ -28,13 +30,7 @@ from .trajectory import DEFAULT_DT, load_teach_csv
 def _cmd_run(args) -> int:
     scenario = harness.load_scenario(args.scenario)
     result = harness.run_scenario(scenario)
-    out_dir = Path(args.out)
-    csv_paths = harness.export_csv(result, out_dir)
-    svg_path = harness.export_plot(result, out_dir / "plot.svg")
-    metrics_path = out_dir / "metrics.json"
-    harness._atomic_write(
-        metrics_path, json.dumps(harness.metrics_to_dict(result.metrics), indent=2) + "\n"
-    )
+    paths = harness.write_artifacts(result, args.out)
     label = scenario.name or Path(args.scenario).stem
     print(f"scenario {label}: {result.scenario.n_samples} samples per joint")
     for joint, m in result.metrics.items():
@@ -43,7 +39,7 @@ def _cmd_run(args) -> int:
             f"  {joint}: rmse {m.rmse:.6g} rad, max|e| {m.max_abs_error:.6g} rad, "
             f"steady-state {m.steady_state_error:.6g} rad, settle {settle}"
         )
-    for path in [*csv_paths, svg_path, metrics_path]:
+    for path in paths:
         print(f"  wrote {path}")
     return 0
 
@@ -56,8 +52,7 @@ def _cmd_gains(args) -> int:
     print(f"k1 = {gains.k1!r}")
     print(f"k2 = {gains.k2!r}")
     print(f"k3 = {gains.k3!r}")
-    comp = compensator_tf(0, [gains.k0, gains.k1, gains.k2, gains.k3])
-    poles = closed_loop_poles_analysis(plant, comp, scaled_by_inv_gamma0=True)
+    poles = np.sort_complex(np.roots(closed_loop_char_poly(gains, plant)))
     formatted = ", ".join(f"{p.real:.6f}{p.imag:+.6f}j" for p in poles)
     print(f"closed-loop poles: {formatted}")
     return 0
@@ -115,12 +110,10 @@ def _cmd_teach(args) -> int:
         name="teach-repeat",
     )
     result = harness.run_scenario(scenario)
-    out_dir = Path(args.out)
-    csv_paths = harness.export_csv(result, out_dir)
-    svg_path = harness.export_plot(result, out_dir / "plot.svg")
+    paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]
     print(f"repeat: rmse {m.rmse:.6g} rad, max|e| {m.max_abs_error:.6g} rad")
-    for path in [*csv_paths, svg_path]:
+    for path in paths:
         print(f"  wrote {path}")
     return 0
 

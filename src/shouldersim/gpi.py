@@ -1,4 +1,4 @@
-"""Robust GPI controller: gain synthesis, discrete control law, analysis helpers.
+"""Robust GPI controller: gain synthesis, discrete control law, closed-loop polynomial.
 
 Gains k0..k3 are found by matching the closed-loop characteristic polynomial
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class ControllerState:
     tracking error offset used by the proportional term; None means "capture
     the first measured error". theta_dot0 is the initial velocity estimate
     subtracted in the reconstruction. u_prev/e_prev hold the previous tick's
-    values for the trapezoidal updates; t is the timestamp of the next sample.
+    values for the trapezoidal updates.
     """
 
     int_e: float = 0.0
@@ -99,23 +99,6 @@ class ControllerState:
     theta_dot0: float = 0.0
     u_prev: Optional[float] = None
     e_prev: Optional[float] = None
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class RationalTf:
-    """Ratio of real polynomials, coefficients in descending degree."""
-
-    num: tuple
-    den: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "num", tuple(float(c) for c in self.num))
-        object.__setattr__(self, "den", tuple(float(c) for c in self.den))
-        if len(self.den) == 0 or self.den[0] == 0.0:
-            raise ValueError("leading denominator coefficient must be nonzero")
-        if not all(math.isfinite(c) for c in self.num + self.den):
-            raise ValueError("polynomial coefficients must be finite")
 
 
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
@@ -148,7 +131,12 @@ def compute_gains(design: GpiDesign, tf: SecondOrderTf) -> GpiGains:
 
 
 def closed_loop_char_poly(gains: GpiGains, tf: SecondOrderTf) -> np.ndarray:
-    """Degree-4 characteristic polynomial of the closed loop (descending)."""
+    """Degree-4 characteristic polynomial of the closed loop (descending).
+
+    Its roots, np.roots(closed_loop_char_poly(gains, tf)), are the closed-loop
+    poles; they equal the target double poles of hurwitz_poly(design) when
+    gains = compute_gains(design, tf).
+    """
     g1, g2 = tf.gamma1, tf.gamma2
     return np.array([
         1.0,
@@ -229,41 +217,6 @@ def control_step(
         e0=e0,
         u_prev=u,
         e_prev=e,
-        t=cs.t + dt,
     )
     return u, nxt
 
-
-def compensator_tf(r: int, gains: Sequence[float]) -> RationalTf:
-    """Lead-compensator form of the general-r GPI law.
-
-    For gains (k0 .. k_{r+3}) returns
-    (k_{r+2} s^{r+2} + ... + k1 s + k0) / (s^{r+1} (s + k_{r+3})).
-    """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r!r}")
-    gains = [float(k) for k in gains]
-    if len(gains) != r + 4:
-        raise ValueError(f"expected {r + 4} gains for r={r}, got {len(gains)}")
-    num = tuple(reversed(gains[: r + 3]))
-    den = (1.0, gains[r + 3]) + (0.0,) * (r + 1)
-    return RationalTf(num=num, den=den)
-
-
-def closed_loop_poles_analysis(
-    tf: SecondOrderTf, comp: RationalTf, scaled_by_inv_gamma0: bool
-) -> np.ndarray:
-    """Roots of the closed-loop characteristic polynomial, sorted.
-
-    The loop is den_plant*den_comp + num_plant*num_comp, with the compensator
-    numerator divided by gamma0 when scaled_by_inv_gamma0 is set (the law
-    applies its k2/k1/k0 terms through a 1/gamma0 factor, which cancels the
-    plant gain).
-    """
-    den_plant = np.array([1.0, tf.gamma1, tf.gamma2])
-    num_plant = np.array([tf.gamma0])
-    num_comp = np.array(comp.num)
-    if scaled_by_inv_gamma0:
-        num_comp = num_comp / tf.gamma0
-    char = np.polyadd(np.polymul(den_plant, np.array(comp.den)), np.polymul(num_plant, num_comp))
-    return np.sort_complex(np.roots(char))

@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -56,6 +56,10 @@ class QuinticRef:
     thetaf: float
     T: float
 
+    def __post_init__(self):
+        if not (all(map(math.isfinite, (self.theta0, self.thetaf, self.T))) and self.T > 0.0):
+            raise ValueError(f"quintic reference needs finite values and T > 0, got {self!r}")
+
 
 @dataclass(frozen=True)
 class SineRef:
@@ -64,6 +68,10 @@ class SineRef:
     A: float
     f: float
     k: float
+
+    def __post_init__(self):
+        if not (all(map(math.isfinite, (self.A, self.f, self.k))) and self.A > 0.0):
+            raise ValueError(f"sine reference needs finite values and A > 0, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,8 @@ class Scenario:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ValueError(f"duration must be >= dt, got {self.duration!r}")
-        if self.noise_amplitude < 0.0:
-            raise ValueError(f"noise amplitude must be >= 0, got {self.noise_amplitude!r}")
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+            raise ValueError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude!r}")
 
     @property
     def n_samples(self) -> int:
@@ -192,7 +200,7 @@ def run_scenario(s: Scenario) -> SimResult:
         theta_meas = np.empty(n)
         u_log = np.empty(n)
 
-        state = PlantState(theta=refs[0].theta_d, theta_dot=0.0, t=0.0)
+        state = PlantState(theta=refs[0].theta_d, theta_dot=0.0)
         cs = ControllerState(theta_dot0=refs[0].theta_dot_d)
         dist = cfg.disturbance
         for i in range(n):
@@ -322,101 +330,88 @@ def metrics_to_dict(metrics: Dict[str, Metrics]) -> dict:
     return out
 
 
-def _ref_to_dict(ref: ReferenceSpec) -> dict:
-    if isinstance(ref, QuinticRef):
-        return {"kind": "quintic", "theta0": ref.theta0, "thetaf": ref.thetaf, "T": ref.T}
-    if isinstance(ref, SineRef):
-        return {"kind": "sine", "A": ref.A, "f": ref.f, "k": ref.k}
-    if isinstance(ref, TeachRef):
-        return {"kind": "teach", "file": ref.file, "smooth": ref.smooth}
-    raise TypeError(f"unknown reference spec {type(ref).__name__}")
+def write_artifacts(r: SimResult, out_dir) -> List[Path]:
+    """Write <joint>.csv per joint, plot.svg and metrics.json into out_dir.
+
+    Returns the written paths in that order.
+    """
+    out_dir = Path(out_dir)
+    metrics_path = out_dir / "metrics.json"
+    paths = [*export_csv(r, out_dir), export_plot(r, out_dir / "plot.svg"), metrics_path]
+    _atomic_write(metrics_path, json.dumps(metrics_to_dict(r.metrics), indent=2) + "\n")
+    return paths
 
 
-def _ref_from_dict(d: dict, base_dir: Optional[Path]) -> ReferenceSpec:
+_REFERENCE_KINDS = {"quintic": QuinticRef, "sine": SineRef, "teach": TeachRef}
+_KIND_OF = {cls: kind for kind, cls in _REFERENCE_KINDS.items()}
+
+
+def scenario_to_dict(obj) -> dict:
+    """JSON form of a Scenario (the schema in the README) or of any part of one.
+
+    Built field by field; a reference gets its "kind" first, and a None field
+    (no disturbance) is left out.
+    """
+    out = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            value = {key: scenario_to_dict(item) for key, item in value.items()}
+        elif is_dataclass(value):
+            value = scenario_to_dict(value)
+        if value is not None:
+            out[f.name] = value
+    return out
+
+
+def _from_dict(cls, d: dict, base_dir):
+    """Build dataclass cls from a JSON object, decoding each field by its type.
+
+    A key that is absent takes the field's default; a field without a default
+    is required, and its absence raises KeyError naming it.
+    """
+    return cls(**{
+        f.name: _DECODERS[f.type](d[f.name], base_dir)
+        for f in fields(cls)
+        if f.name in d or f.default is MISSING
+    })
+
+
+def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
     kind = d.get("kind")
-    if kind == "quintic":
-        return QuinticRef(theta0=float(d["theta0"]), thetaf=float(d["thetaf"]), T=float(d["T"]))
-    if kind == "sine":
-        return SineRef(A=float(d["A"]), f=float(d["f"]), k=float(d["k"]))
-    if kind == "teach":
-        file = Path(d["file"])
+    if kind not in _REFERENCE_KINDS:
+        raise ValueError(f"unknown reference kind {kind!r}")
+    ref = _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
+    if isinstance(ref, TeachRef):
+        file = Path(ref.file)
         if not file.is_absolute() and base_dir is not None:
             file = Path(base_dir) / file
         if not file.exists():
             raise ValueError(f"teach file not found: {file}")
-        return TeachRef(file=str(file), smooth=bool(d.get("smooth", False)))
-    raise ValueError(f"unknown reference kind {kind!r}")
+        ref = TeachRef(file=str(file), smooth=ref.smooth)
+    return ref
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    joints = {}
-    for joint, cfg in s.joints.items():
-        entry = {
-            "plant": {
-                "gamma0": cfg.plant.gamma0,
-                "gamma1": cfg.plant.gamma1,
-                "gamma2": cfg.plant.gamma2,
-            },
-            "design": {"xi": cfg.design.xi, "wn": cfg.design.wn},
-            "limits": {
-                "theta_min": cfg.limits.theta_min,
-                "theta_max": cfg.limits.theta_max,
-            },
-            "saturation": {"u_min": cfg.saturation.u_min, "u_max": cfg.saturation.u_max},
-            "reference": _ref_to_dict(cfg.reference),
-        }
-        if cfg.disturbance is not None:
-            entry["disturbance"] = {
-                "magnitude": cfg.disturbance.magnitude,
-                "onset": cfg.disturbance.onset,
-            }
-        joints[joint] = entry
-    return {
-        "name": s.name,
-        "dt": s.dt,
-        "duration": s.duration,
-        "noise_amplitude": s.noise_amplitude,
-        "seed": s.seed,
-        "joints": joints,
-    }
+# Field annotation (a string: the dataclass modules postpone annotations) ->
+# decoder of the field's JSON value. JSON ints become floats.
+_DECODERS = {
+    "float": lambda v, _: float(v),
+    "int": lambda v, _: int(v),
+    "bool": lambda v, _: bool(v),
+    "str": lambda v, _: str(v),
+    "SecondOrderTf": lambda v, b: _from_dict(SecondOrderTf, v, b),
+    "GpiDesign": lambda v, b: _from_dict(GpiDesign, v, b),
+    "JointLimits": lambda v, b: _from_dict(JointLimits, v, b),
+    "SaturationLimits": lambda v, b: _from_dict(SaturationLimits, v, b),
+    "ReferenceSpec": _reference_from_dict,
+    "Optional[DisturbanceSpec]": lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
+    "Dict[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in v.items()},
+}
 
 
 def scenario_from_dict(d: dict, base_dir=None) -> Scenario:
     """Build a Scenario from parsed JSON; teach files resolve against base_dir."""
-    joints = {}
-    for joint, entry in d["joints"].items():
-        plant = entry["plant"]
-        design = entry["design"]
-        limits = entry["limits"]
-        sat = entry["saturation"]
-        disturbance = None
-        if entry.get("disturbance") is not None:
-            disturbance = DisturbanceSpec(
-                magnitude=float(entry["disturbance"]["magnitude"]),
-                onset=float(entry["disturbance"]["onset"]),
-            )
-        joints[joint] = JointConfig(
-            plant=SecondOrderTf(
-                gamma0=float(plant["gamma0"]),
-                gamma1=float(plant["gamma1"]),
-                gamma2=float(plant["gamma2"]),
-            ),
-            design=GpiDesign(xi=float(design["xi"]), wn=float(design["wn"])),
-            limits=JointLimits(
-                theta_min=float(limits["theta_min"]), theta_max=float(limits["theta_max"])
-            ),
-            saturation=SaturationLimits(u_min=float(sat["u_min"]), u_max=float(sat["u_max"])),
-            reference=_ref_from_dict(entry["reference"], base_dir),
-            disturbance=disturbance,
-        )
-    return Scenario(
-        joints=joints,
-        dt=float(d.get("dt", DEFAULT_DT)),
-        duration=float(d["duration"]),
-        noise_amplitude=float(d.get("noise_amplitude", 0.0)),
-        seed=int(d.get("seed", 0)),
-        name=str(d.get("name", "")),
-    )
+    return _from_dict(Scenario, d, base_dir)
 
 
 def load_scenario(path) -> Scenario:

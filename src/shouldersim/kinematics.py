@@ -1,4 +1,4 @@
-"""Two-DoF shoulder kinematics: DH transforms, forward/inverse maps, workspace test.
+"""Two-DoF shoulder kinematics: closed-form forward/inverse maps, workspace test.
 
 The arm is modeled as a single rigid link of length l_a from the shoulder
 origin to the wrist, rotated by the abduction/adduction angle theta_s1 about
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .trajectory import JointLimits
 
@@ -45,16 +43,6 @@ class WristPosition:
 
 
 @dataclass(frozen=True)
-class DhRow:
-    """One Denavit-Hartenberg row: joint angle theta, offset d, link length r, twist alpha."""
-
-    theta: float
-    d: float
-    r: float
-    alpha: float
-
-
-@dataclass(frozen=True)
 class ArmLength:
     """Combined arm plus forearm length in m."""
 
@@ -66,37 +54,6 @@ class ArmLength:
 
 
 DEFAULT_ARM = ArmLength()
-
-
-def dh_matrix(row: DhRow) -> np.ndarray:
-    """Standard DH homogeneous transform for one row."""
-    ct, st = math.cos(row.theta), math.sin(row.theta)
-    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, row.r * ct],
-        [st, ct * ca, -ct * sa, row.r * st],
-        [0.0, sa, ca, row.d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-
-
-def shoulder_dh_rows(q: ShoulderAngles, arm: ArmLength = DEFAULT_ARM):
-    """DH rows for the two shoulder revolutes.
-
-    The first twist angle must be -pi/2 (not +pi/2) so that positive flexion
-    theta_s2 lowers the wrist: with +pi/2 the composition flips the sign of
-    the z row and the wrist would rise instead.
-    """
-    return (
-        DhRow(theta=q.theta_s1, d=0.0, r=0.0, alpha=-math.pi / 2.0),
-        DhRow(theta=q.theta_s2, d=0.0, r=arm.l_a, alpha=0.0),
-    )
-
-
-def shoulder_transform(q: ShoulderAngles, arm: ArmLength = DEFAULT_ARM) -> np.ndarray:
-    """Wrist-to-shoulder-origin homogeneous transform (product of the DH rows)."""
-    r1, r2 = shoulder_dh_rows(q, arm)
-    return dh_matrix(r1) @ dh_matrix(r2)
 
 
 def forward(q: ShoulderAngles, arm: ArmLength = DEFAULT_ARM) -> WristPosition:

@@ -49,14 +49,13 @@ class SecondOrderTf:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Instantaneous joint state: angle (rad), angular velocity (rad/s), time (s)."""
+    """Instantaneous joint state: angle (rad) and angular velocity (rad/s)."""
 
     theta: float
     theta_dot: float
-    t: float
 
     def __post_init__(self):
-        for name in ("theta", "theta_dot", "t"):
+        for name in ("theta", "theta_dot"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -116,7 +115,7 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
 
     theta = th + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     theta_dot = td + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return PlantState(theta=theta, theta_dot=theta_dot, t=state.t + dt)
+    return PlantState(theta=theta, theta_dot=theta_dot)
 
 
 def dc_gain(tf: SecondOrderTf) -> float:

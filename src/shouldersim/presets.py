@@ -23,37 +23,10 @@ ABAD_LIMITS = JointLimits(theta_min=0.1745, theta_max=1.396)
 FE_LIMITS = JointLimits(theta_min=0.1745, theta_max=0.5585)
 
 DEFAULT_SATURATION = SaturationLimits(u_min=0.0, u_max=100.0)
-VACUUM_SATURATION = SaturationLimits(u_min=-100.0, u_max=100.0)
-
-# Reaching endpoints (theta_abad, theta_fe) in rad; every motion starts from
-# the joint floor 0.1745 rad and follows a 10 s rest-to-rest quintic. A target
-# below a joint's floor simply parks that joint at the floor.
-REACH_ENDPOINTS = (
-    (0.6981, 0.0),
-    (1.0472, 0.0),
-    (0.0, 0.3491),
-    (0.0, 0.5585),
-    (0.6981, 0.3491),
-    (0.6981, 0.5585),
-    (1.3963, 0.3491),
-    (1.3963, 0.5585),
-)
-
-# Periodic references theta_d = (A/2) sin(f*tick + K) + A/2 on the abad joint.
-SINE_PHASE = 300.0
-SINE_CASES = (
-    (1.0, 1.6e-3),
-    (1.0, 2.6e-3),
-    (1.0, 3.6e-3),
-    (1.0, 4.3e-3),
-    (3.0, 1.3e-3),
-    (3.0, 2.6e-3),
-)
 
 __all__ = [
     "ABAD_PLANT", "FE_PLANT", "ABAD_DESIGN", "FE_DESIGN",
-    "ABAD_LIMITS", "FE_LIMITS", "DEFAULT_SATURATION", "VACUUM_SATURATION",
-    "DEFAULT_DT", "REACH_ENDPOINTS", "SINE_PHASE", "SINE_CASES",
+    "ABAD_LIMITS", "FE_LIMITS", "DEFAULT_SATURATION", "DEFAULT_DT",
     "scenario_dir", "bundled_scenarios",
 ]
 

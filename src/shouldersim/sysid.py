@@ -5,12 +5,12 @@ The pipeline is ARX(2,1) least squares on the sampled record,
     theta[k] = -a1*theta[k-1] - a2*theta[k-2] + b0*u[k-1],
 
 followed by an inverse bilinear (Tustin) map back to the continuous
-gamma0 / (s^2 + gamma1*s + gamma2) form. estimate_tf additionally applies a
-bias-compensation iteration to the normal equations (white measurement noise
-on the output inflates the autoregressive block of Phi'Phi; subtracting the
-estimated noise variance removes the systematic shrinkage of a1/a2). On a
-noiseless record the compensation term vanishes and the result coincides with
-the plain least-squares fit.
+gamma0 / (s^2 + gamma1*s + gamma2) form. The fit applies a bias-compensation
+iteration to the normal equations (white measurement noise on the output
+inflates the autoregressive block of Phi'Phi; subtracting the estimated noise
+variance removes the systematic shrinkage of a1/a2). On a noiseless record the
+compensation term vanishes and the result coincides with the plain
+least-squares fit.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import PlantState, SecondOrderTf, step as plant_step
+
+_BIAS_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -63,34 +65,19 @@ class DiscreteArx2:
                 raise ValueError(f"{name} must be finite")
 
 
-def _regressors(rec: IoRecord):
-    y = rec.theta
-    Y = y[2:]
-    Phi = np.column_stack([-y[1:-1], -y[:-2], rec.u[1:-1]])
-    return Phi, Y
-
-
 def fit_arx2(rec: IoRecord) -> DiscreteArx2:
-    """Ordinary least-squares ARX(2,1) fit of a record.
-
-    Raises ValueError("insufficient excitation") when the regressor matrix is
-    rank deficient (e.g. constant input and output).
-    """
-    Phi, Y = _regressors(rec)
-    if np.linalg.matrix_rank(Phi) < 3:
-        raise ValueError("insufficient excitation")
-    theta, *_ = np.linalg.lstsq(Phi, Y, rcond=None)
-    return DiscreteArx2(a1=float(theta[0]), a2=float(theta[1]), b0=float(theta[2]))
-
-
-def _fit_arx2_compensated(rec: IoRecord, max_iter: int = 50) -> DiscreteArx2:
-    """ARX(2,1) fit with iterative bias compensation for white output noise.
+    """ARX(2,1) least-squares fit with iterative bias compensation for white output noise.
 
     Starting from the plain least-squares solution, alternately estimate the
     output-noise variance from the residual and re-solve the normal equations
-    with the noise contribution removed from the autoregressive block.
+    with the noise contribution removed from the autoregressive block, for at
+    most 50 rounds. Raises ValueError("insufficient excitation")
+    when the regressor matrix is rank deficient (e.g. constant input and
+    output).
     """
-    Phi, Y = _regressors(rec)
+    y = rec.theta
+    Y = y[2:]
+    Phi = np.column_stack([-y[1:-1], -y[:-2], rec.u[1:-1]])
     if np.linalg.matrix_rank(Phi) < 3:
         raise ValueError("insufficient excitation")
     n = len(Y)
@@ -100,7 +87,7 @@ def _fit_arx2_compensated(rec: IoRecord, max_iter: int = 50) -> DiscreteArx2:
 
     theta, *_ = np.linalg.lstsq(Phi, Y, rcond=None)
     sig2 = 0.0
-    for _ in range(max_iter):
+    for _ in range(_BIAS_ITERATIONS):
         res = Y - Phi @ theta
         a1, a2 = theta[0], theta[1]
         sig2_new = float(res @ res) / n / (1.0 + a1 * a1 + a2 * a2)
@@ -173,7 +160,7 @@ def fit_percent(y, yhat) -> float:
 def simulate_record(tf: SecondOrderTf, rec: IoRecord) -> np.ndarray:
     """RK4 response of a plant to the record's input, from (theta[0], 0) at rest."""
     out = np.empty(len(rec))
-    state = PlantState(theta=float(rec.theta[0]), theta_dot=0.0, t=0.0)
+    state = PlantState(theta=float(rec.theta[0]), theta_dot=0.0)
     out[0] = state.theta
     for k in range(1, len(rec)):
         state = plant_step(state, tf, float(rec.u[k - 1]), 0.0, rec.ts)
@@ -189,7 +176,7 @@ def estimate_tf(rec: IoRecord):
     reproduction with fit_percent. Records of any length >= 10 are accepted
     whole; no truncation or windowing is applied.
     """
-    d = _fit_arx2_compensated(rec)
+    d = fit_arx2(rec)
     tf = to_continuous(d, rec.ts)
     yhat = simulate_record(tf, rec)
     return tf, fit_percent(rec.theta, yhat)

@@ -69,7 +69,6 @@ class TaughtTrajectory:
     """A recorded demonstration: (t, theta, theta_dot) samples, verbatim."""
 
     samples: Tuple[Tuple[float, float, float], ...]
-    source: str
     duration: float
 
 
@@ -139,9 +138,7 @@ def record_teach(samples: Iterable[Sequence[float]]) -> TaughtTrajectory:
     for prev, cur in zip(stored, stored[1:]):
         if cur[0] <= prev[0]:
             raise ValueError(f"timestamps must be strictly increasing, got {prev[0]!r} then {cur[0]!r}")
-    return TaughtTrajectory(
-        samples=stored, source="imu-record", duration=stored[-1][0] - stored[0][0]
-    )
+    return TaughtTrajectory(samples=stored, duration=stored[-1][0] - stored[0][0])
 
 
 def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -> List[RefSample]:

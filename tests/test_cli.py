@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shouldersim
 from shouldersim import IoRecord, multisine_profile, presets, simulate_record
 from shouldersim.cli import main
 from shouldersim.kinematics import ArmLength, ShoulderAngles, forward
@@ -97,6 +101,17 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_run_rejects_non_finite_noise(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "reach_q1.json").read_text())
+    data["noise_amplitude"] = float("inf")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))  # written as the JSON token Infinity
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "noise amplitude" in err
+
+
 def test_sysid_recovers_plant(tmp_path, capsys):
     truth = presets.ABAD_PLANT
     n = 2000
@@ -143,13 +158,28 @@ def test_teach_repeat_writes_artifacts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "repeat: rmse" in out
-    assert (tmp_path / "abad.csv").exists()
-    assert (tmp_path / "plot.svg").exists()
+    for name in ("abad.csv", "plot.svg", "metrics.json"):
+        assert (tmp_path / name).exists()
+        assert f"wrote {tmp_path / name}" in out
+    assert set(json.loads((tmp_path / "metrics.json").read_text())) == {"abad"}
 
 
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_python_m_entry_point_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(shouldersim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shouldersim", "fk", "--theta1", "0.6981", "--theta2", "0.3491"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "x = 0.100780 m" in proc.stdout
 
 
 def test_installed_entry_point_runs():

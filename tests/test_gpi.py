@@ -6,13 +6,10 @@ from shouldersim import (
     GpiDesign,
     GpiGains,
     PlantState,
-    RationalTf,
     RefSample,
     SaturationLimits,
     SecondOrderTf,
     closed_loop_char_poly,
-    closed_loop_poles_analysis,
-    compensator_tf,
     compute_gains,
     control_step,
     feedforward,
@@ -33,7 +30,7 @@ def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=
     coeffs = quintic_fit(theta0, thetaf, T)
     gains = compute_gains(design, tf)
     n = int(round(duration / dt)) + 1
-    state = PlantState(theta=theta0, theta_dot=0.0, t=0.0)
+    state = PlantState(theta=theta0, theta_dot=0.0)
     cs = ControllerState()
     e_log = np.empty(n)
     u_log = np.empty(n)
@@ -55,8 +52,6 @@ def test_design_validation():
         GpiDesign(xi=1.0, wn=-2.0)
     with pytest.raises(ValueError):
         SaturationLimits(u_min=10.0, u_max=10.0)
-    with pytest.raises(ValueError):
-        RationalTf(num=(1.0,), den=(0.0, 1.0))
     with pytest.raises(ValueError):
         GpiGains(k0=float("nan"), k1=0.0, k2=0.0, k3=0.0)
 
@@ -267,28 +262,9 @@ def test_step_disturbance_is_rejected():
     assert np.max(after) < 0.01
 
 
-def test_compensator_structure():
-    comp = compensator_tf(0, (1.0, 0.0, 0.0, 1.0))
-    assert comp.num == (0.0, 0.0, 1.0)
-    assert comp.den == (1.0, 1.0, 0.0)
-
-    gains = compute_gains(S1_DESIGN, G1)
-    comp = compensator_tf(0, (gains.k0, gains.k1, gains.k2, gains.k3))
-    assert np.allclose(comp.num, [193.6824675625, 816.167879, 1384.5841], rtol=1e-9)
-    assert np.allclose(comp.den, [1.0, 21.90275, 0.0], rtol=1e-9)
-
-    comp = compensator_tf(1, (1.0, 2.0, 3.0, 4.0, 5.0))
-    assert len(comp.den) == 4
-    assert comp.den == (1.0, 5.0, 0.0, 0.0)
-
-    with pytest.raises(ValueError):
-        compensator_tf(0, (1.0, 2.0, 3.0))
-
-
 def test_closed_loop_poles_match_design():
     gains = compute_gains(S1_DESIGN, G1)
-    comp = compensator_tf(0, (gains.k0, gains.k1, gains.k2, gains.k3))
-    roots = closed_loop_poles_analysis(G1, comp, scaled_by_inv_gamma0=True)
+    roots = np.roots(closed_loop_char_poly(gains, G1))
     # double roots are recovered to about sqrt(machine eps); compare the
     # real and imaginary parts as multisets
     assert np.allclose(np.sort(roots.real), [-5.49] * 4, atol=1e-5)
@@ -299,19 +275,10 @@ def test_closed_loop_poles_match_design():
     )
 
 
-def test_poles_analysis_scaling_flag_matters():
-    gains = compute_gains(S1_DESIGN, G1)
-    comp = compensator_tf(0, (gains.k0, gains.k1, gains.k2, gains.k3))
-    scaled = closed_loop_poles_analysis(G1, comp, scaled_by_inv_gamma0=True)
-    unscaled = closed_loop_poles_analysis(G1, comp, scaled_by_inv_gamma0=False)
-    assert not np.allclose(scaled, unscaled, atol=1e-3)
-
-
 def test_poles_analysis_quadruple_root():
     eps = 1e-15
     tf = SecondOrderTf(1.0, 0.0, eps)
     gains = compute_gains(GpiDesign(xi=1.0, wn=1.0), tf)
-    comp = compensator_tf(0, (gains.k0, gains.k1, gains.k2, gains.k3))
-    roots = closed_loop_poles_analysis(tf, comp, scaled_by_inv_gamma0=True)
+    roots = np.roots(closed_loop_char_poly(gains, tf))
     # a quadruple root is extracted with O(eps^(1/4)) accuracy at best
     assert np.max(np.abs(roots - (-1.0))) < 1e-3

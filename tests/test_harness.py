@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shouldersim import (
     DisturbanceSpec,
@@ -13,7 +14,9 @@ from shouldersim import (
     JointSeries,
     QuinticRef,
     RefSample,
+    SaturationLimits,
     Scenario,
+    SecondOrderTf,
     SimResult,
     SineRef,
     TeachRef,
@@ -28,7 +31,7 @@ from shouldersim import (
     run_scenario,
     save_scenario,
 )
-from shouldersim.harness import metrics_to_dict
+from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict
 from shouldersim.plotting import render_svg
 
 
@@ -63,6 +66,22 @@ def test_scenario_validation():
         default_scenario(ref, duration=0.01)
     with pytest.raises(ValueError):
         default_scenario(ref, noise_amplitude=-0.1)
+    # nan < 0 is False, so a sign check alone would let these through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            default_scenario(ref, noise_amplitude=bad)
+        with pytest.raises(ValueError):
+            QuinticRef(0.1745, bad, 10.0)
+        with pytest.raises(ValueError):
+            QuinticRef(0.1745, 0.6981, bad)
+        with pytest.raises(ValueError):
+            SineRef(1.0, bad, 300.0)
+        with pytest.raises(ValueError):
+            SineRef(bad, 1.6e-3, 300.0)
+    with pytest.raises(ValueError):
+        QuinticRef(0.1745, 0.6981, 0.0)
+    with pytest.raises(ValueError):
+        SineRef(0.0, 1.6e-3, 300.0)
 
 
 def test_sample_count_for_ten_second_run():
@@ -298,11 +317,50 @@ def test_render_svg_rejects_empty_input():
         render_svg([])
 
 
-def test_scenario_json_round_trip(tmp_path):
-    s = default_scenario(QuinticRef(0.1745, 0.6981, 10.0), noise_amplitude=0.001, seed=3)
-    path = tmp_path / "scenario.json"
-    save_scenario(s, path)
-    assert load_scenario(path) == s
+def _finite(lo=None, hi=None):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+_POSITIVE = _finite(1e-6, 1e6)
+
+
+def _interval(cls):
+    return st.builds(lambda lo, width: cls(lo, lo + width), _finite(-1e3, 1e3), _finite(1e-3, 1e3))
+
+
+_JOINTS = st.builds(
+    JointConfig,
+    plant=st.builds(SecondOrderTf, _POSITIVE, _finite(0.0, 1e6), _POSITIVE),
+    design=st.builds(GpiDesign, _POSITIVE, _POSITIVE),
+    limits=_interval(JointLimits),
+    saturation=_interval(SaturationLimits),
+    reference=st.one_of(
+        st.builds(QuinticRef, _finite(), _finite(), _POSITIVE),
+        st.builds(SineRef, _POSITIVE, _finite(), _finite()),
+        st.builds(
+            TeachRef,
+            st.just(str((presets.scenario_dir() / "taught_demo.csv").resolve())),
+            st.booleans(),
+        ),
+    ),
+    disturbance=st.none() | st.builds(DisturbanceSpec, _finite(), _finite(0.0, 1e6)),
+)
+
+_SCENARIOS = st.builds(
+    lambda joints, dt, extra, **kw: Scenario(joints=joints, dt=dt, duration=dt + extra, **kw),
+    joints=st.dictionaries(st.sampled_from(["abad", "fe"]), _JOINTS, min_size=1),
+    dt=_finite(1e-4, 1.0),
+    extra=_finite(0.0, 1e3),
+    noise_amplitude=_finite(0.0, 1.0),
+    seed=st.integers(0, 2**63),
+    name=st.text(max_size=20),
+)
+
+
+@settings(deadline=None)
+@given(_SCENARIOS)
+def test_scenario_json_round_trip(s):
+    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
 
 
 def test_missing_teach_file_is_reported(tmp_path):
@@ -313,7 +371,7 @@ def test_missing_teach_file_is_reported(tmp_path):
         load_scenario(path)
 
 
-def test_bundled_scenarios_all_load():
+def test_bundled_scenarios_all_load(tmp_path):
     names = presets.bundled_scenarios()
     assert len(names) == 15
     assert "reach_q1" in names and "sine_f" in names and "teach_repeat" in names
@@ -321,6 +379,7 @@ def test_bundled_scenarios_all_load():
         s = load_scenario(bundled(name))
         assert s.n_samples >= 2
         assert s.name == name
+        assert load_scenario(save_scenario(s, tmp_path / f"{name}.json")) == s
 
 
 def test_bundled_teach_repeat_tracks():

@@ -1,24 +1,66 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from shouldersim import (
     ArmLength,
-    DhRow,
     JointLimits,
     ShoulderAngles,
     WristPosition,
-    dh_matrix,
     forward,
     in_workspace,
     inverse,
-    shoulder_dh_rows,
-    shoulder_transform,
 )
 
 S1_LIMITS = JointLimits(theta_min=0.1745, theta_max=1.396)
 S2_LIMITS = JointLimits(theta_min=0.1745, theta_max=0.5585)
+
+
+# Denavit-Hartenberg reference: the closed-form forward() must agree with the
+# product of the two shoulder DH transforms.
+
+
+@dataclass(frozen=True)
+class DhRow:
+    """One Denavit-Hartenberg row: joint angle theta, offset d, link length r, twist alpha."""
+
+    theta: float
+    d: float
+    r: float
+    alpha: float
+
+
+def dh_matrix(row: DhRow) -> np.ndarray:
+    """Standard DH homogeneous transform for one row."""
+    ct, st = math.cos(row.theta), math.sin(row.theta)
+    ca, sa = math.cos(row.alpha), math.sin(row.alpha)
+    return np.array([
+        [ct, -st * ca, st * sa, row.r * ct],
+        [st, ct * ca, -ct * sa, row.r * st],
+        [0.0, sa, ca, row.d],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+
+
+def shoulder_dh_rows(q: ShoulderAngles, arm: ArmLength = ArmLength()):
+    """DH rows for the two shoulder revolutes.
+
+    The first twist angle must be -pi/2 (not +pi/2) so that positive flexion
+    theta_s2 lowers the wrist: with +pi/2 the composition flips the sign of
+    the z row and the wrist would rise instead.
+    """
+    return (
+        DhRow(theta=q.theta_s1, d=0.0, r=0.0, alpha=-math.pi / 2.0),
+        DhRow(theta=q.theta_s2, d=0.0, r=arm.l_a, alpha=0.0),
+    )
+
+
+def shoulder_transform(q: ShoulderAngles, arm: ArmLength = ArmLength()) -> np.ndarray:
+    """Wrist-to-shoulder-origin homogeneous transform (product of the DH rows)."""
+    r1, r2 = shoulder_dh_rows(q, arm)
+    return dh_matrix(r1) @ dh_matrix(r2)
 
 
 def test_arm_length_validation():

@@ -26,7 +26,7 @@ def closed_form_step(tf, u, t):
 
 
 def simulate_constant(tf, u, duration, dt, rho=0.0):
-    state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+    state = PlantState(theta=0.0, theta_dot=0.0)
     for _ in range(int(round(duration / dt))):
         state = step(state, tf, u, rho, dt)
     return state
@@ -61,21 +61,20 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         SecondOrderTf(float("nan"), 0.1, 0.1)
     with pytest.raises(ValueError):
-        PlantState(theta=float("inf"), theta_dot=0.0, t=0.0)
+        PlantState(theta=float("inf"), theta_dot=0.0)
     with pytest.raises(ValueError):
         DisturbanceSpec(magnitude=5.0, onset=-1.0)
 
 
 def test_step_keeps_origin_fixed():
-    state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+    state = PlantState(theta=0.0, theta_dot=0.0)
     nxt = step(state, G1, u=0.0, rho=0.0, dt=0.065)
     assert nxt.theta == 0.0
     assert nxt.theta_dot == 0.0
-    assert nxt.t == 0.065
 
 
 def test_step_rejects_bad_inputs():
-    state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+    state = PlantState(theta=0.0, theta_dot=0.0)
     with pytest.raises(ValueError, match="non-finite input rejected"):
         step(state, G1, u=float("nan"), rho=0.0, dt=0.065)
     with pytest.raises(ValueError, match="non-finite input rejected"):
@@ -99,7 +98,7 @@ def test_full_pwm_reaches_saturated_angle_fe():
 
 def test_step_matches_closed_form_response():
     for tf in (G1, G2):
-        state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+        state = PlantState(theta=0.0, theta_dot=0.0)
         dt = 0.05
         for i in range(400):
             state = step(state, tf, u=50.0, rho=0.0, dt=dt)
@@ -139,7 +138,7 @@ def test_poles_complex_pairs():
 
 def test_equilibrium_invariance_property():
     rng = np.random.default_rng(7)
-    state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+    state = PlantState(theta=0.0, theta_dot=0.0)
     for _ in range(50):
         dt = float(rng.uniform(0.001, 0.5))
         nxt = step(state, G1, u=0.0, rho=0.0, dt=dt)
@@ -168,7 +167,7 @@ def test_rk4_order_of_accuracy():
     dts = np.array([0.4, 0.2, 0.1, 0.05])
     errs = []
     for dt in dts:
-        state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+        state = PlantState(theta=0.0, theta_dot=0.0)
         nxt = step(state, tf, u=10.0, rho=0.0, dt=float(dt))
         errs.append(abs(nxt.theta - closed_form_step(tf, 10.0, float(dt))))
     slope = np.polyfit(np.log(dts), np.log(np.array(errs)), 1)[0]
@@ -182,7 +181,7 @@ def test_linearity_of_response():
     u2 = rng.uniform(0.0, 100.0, size=n)
 
     def run(u_seq):
-        state = PlantState(theta=0.0, theta_dot=0.0, t=0.0)
+        state = PlantState(theta=0.0, theta_dot=0.0)
         out = np.empty(n)
         for i in range(n):
             state = step(state, G1, float(u_seq[i]), 0.0, 0.065)

@@ -151,7 +151,6 @@ def test_sine_rejects_non_positive_amplitude():
 
 def test_record_teach_constant_demo():
     tt = record_teach([(0.0, 0.2, 0.0), (5.0, 0.2, 0.0)])
-    assert tt.source == "imu-record"
     assert tt.duration == 5.0
     refs = differentiate_teach(tt, dt=0.065)
     assert all(r.theta_d == pytest.approx(0.2) for r in refs)
@@ -278,4 +277,3 @@ def test_teach_csv_round_trip(tmp_path):
     back = load_teach_csv(path)
     assert back.samples == tt.samples
     assert back.duration == tt.duration
-    assert back.source == tt.source
