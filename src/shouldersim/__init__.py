@@ -21,14 +21,12 @@ from .gpi import (
 from .trajectory import (
     DEFAULT_DT,
     JointLimits,
-    QuinticCoeffs,
     RefSample,
     TaughtTrajectory,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,
     quintic_eval,
-    quintic_fit,
     record_teach,
     save_teach_csv,
     sine_ref,

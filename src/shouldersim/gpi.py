@@ -119,15 +119,12 @@ def compute_gains(design: GpiDesign, tf: SecondOrderTf) -> GpiGains:
     Raises ValueError("unstable compensator denominator") when 4*xi*wn <= gamma1,
     since the compensator pole -k3 would not be strictly stable.
     """
-    xi, wn = design.xi, design.wn
+    _, h1, h2, h3, h4 = map(float, hurwitz_poly(design))
     g1, g2 = tf.gamma1, tf.gamma2
-    k3 = 4.0 * xi * wn - g1
+    k3 = h1 - g1
     if k3 <= 0.0:
         raise ValueError("unstable compensator denominator")
-    k2 = 2.0 * wn * wn + 4.0 * xi * xi * wn * wn - g1 * k3 - g2
-    k1 = 4.0 * wn ** 3 * xi - g2 * k3
-    k0 = wn ** 4
-    return GpiGains(k0=k0, k1=k1, k2=k2, k3=k3)
+    return GpiGains(k0=h4, k1=h3 - g2 * k3, k2=h2 - g1 * k3 - g2, k3=k3)
 
 
 def closed_loop_char_poly(gains: GpiGains, tf: SecondOrderTf) -> np.ndarray:
@@ -163,9 +160,10 @@ def control_step(
 ):
     """One tick of the discrete GPI law. Returns (u, successor state).
 
-    All integrals advance by the trapezoidal rule. On the first tick there is
-    no preceding interval, so the integrals keep their initial values and no
-    implicit correction is needed. When the raw command exceeds the saturation
+    All integrals advance by the trapezoidal rule over the interval h since
+    the previous tick. The first tick has no preceding interval: it is the
+    h = 0 case, so the integrals keep their initial values and the implicit
+    correction vanishes. When the raw command exceeds the saturation
     limits, the error integrals are frozen for that tick (conditional
     integration anti-windup) while theta_int keeps integrating the actually
     applied, clamped input.
@@ -181,33 +179,24 @@ def control_step(
     k0, k1, k2, k3 = gains.k0, gains.k1, gains.k2, gains.k3
 
     if cs.u_prev is None:
-        int_e = cs.int_e
-        dint_e = cs.dint_e
-        u_raw = (
-            u_d
-            - k3 * (cs.theta_int - cs.theta_dot0 - ref.theta_dot_d)
-            + (-k2 * (e - e0) - k1 * int_e - k0 * dint_e) / tf.gamma0
-        )
+        h, e_prev, u_prev = 0.0, e, 0.0
     else:
-        int_e = cs.int_e + 0.5 * dt * (cs.e_prev + e)
-        dint_e = cs.dint_e + 0.5 * dt * (cs.int_e + int_e)
-        theta_int_known = cs.theta_int + 0.5 * dt * cs.u_prev
-        explicit = (
-            u_d
-            - k3 * (theta_int_known - cs.theta_dot0 - ref.theta_dot_d)
-            + (-k2 * (e - e0) - k1 * int_e - k0 * dint_e) / tf.gamma0
-        )
-        u_raw = explicit / (1.0 + 0.5 * k3 * dt)
+        h, e_prev, u_prev = dt, cs.e_prev, cs.u_prev
+    int_e = cs.int_e + 0.5 * h * (e_prev + e)
+    dint_e = cs.dint_e + 0.5 * h * (cs.int_e + int_e)
+    theta_int_known = cs.theta_int + 0.5 * h * u_prev
+    explicit = (
+        u_d
+        - k3 * (theta_int_known - cs.theta_dot0 - ref.theta_dot_d)
+        + (-k2 * (e - e0) - k1 * int_e - k0 * dint_e) / tf.gamma0
+    )
+    u_raw = explicit / (1.0 + 0.5 * k3 * h)
 
     u = sat.clamp(u_raw)
     if u != u_raw:
         int_e = cs.int_e
         dint_e = cs.dint_e
-
-    if cs.u_prev is None:
-        theta_int = cs.theta_int
-    else:
-        theta_int = cs.theta_int + 0.5 * dt * (cs.u_prev + u)
+    theta_int = cs.theta_int + 0.5 * h * (u_prev + u)
 
     nxt = replace(
         cs,

@@ -41,7 +41,6 @@ from .trajectory import (
     differentiate_teach,
     load_teach_csv,
     quintic_eval,
-    quintic_fit,
     sine_ref,
 )
 
@@ -162,8 +161,7 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> List[RefSample]:
     with zero velocity and acceleration.
     """
     if isinstance(ref, QuinticRef):
-        coeffs = quintic_fit(ref.theta0, ref.thetaf, ref.T)
-        return [quintic_eval(coeffs, i * dt) for i in range(n)]
+        return [quintic_eval(ref.theta0, ref.thetaf, ref.T, i * dt) for i in range(n)]
     if isinstance(ref, SineRef):
         return [sine_ref(ref.A, ref.f, ref.k, i, dt) for i in range(n)]
     if isinstance(ref, TeachRef):
@@ -171,10 +169,8 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> List[RefSample]:
         samples = differentiate_teach(taught, dt, smooth=ref.smooth)
         if len(samples) > n:
             return samples[:n]
-        hold = samples[-1].theta_d
-        for i in range(len(samples), n):
-            samples.append(RefSample(theta_d=hold, theta_dot_d=0.0, theta_ddot_d=0.0, t=i * dt))
-        return samples
+        hold = RefSample(theta_d=samples[-1].theta_d, theta_dot_d=0.0, theta_ddot_d=0.0)
+        return samples + [hold] * (n - len(samples))
     raise TypeError(f"unknown reference spec {type(ref).__name__}")
 
 

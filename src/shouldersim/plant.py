@@ -91,13 +91,11 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
     """Advance the plant ODE by one fixed RK4 step with zero-order-hold input.
 
     The caller is responsible for saturating u beforehand; u and rho are held
-    constant over the step. Raises ValueError for non-finite state or input
-    and for non-positive dt.
+    constant over the step. Raises ValueError for non-finite input and for
+    non-positive dt; PlantState already guarantees a finite state.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    if not (math.isfinite(state.theta) and math.isfinite(state.theta_dot)):
-        raise ValueError("non-finite plant state rejected")
     if not (math.isfinite(u) and math.isfinite(rho)):
         raise ValueError("non-finite input rejected")
 

@@ -239,6 +239,8 @@ def load_io_csv(path, ts: float = 0.065) -> IoRecord:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 3 values, got {len(row)}")
             u.append(float(row[1]))
             theta.append(float(row[2]))
     return IoRecord(u=np.array(u), theta=np.array(theta), ts=ts)

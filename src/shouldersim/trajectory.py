@@ -37,31 +37,17 @@ class JointLimits:
 
 @dataclass(frozen=True)
 class RefSample:
-    """Desired angle (rad), velocity (rad/s) and acceleration (rad/s^2) at time t."""
+    """Desired angle (rad), velocity (rad/s) and acceleration (rad/s^2)."""
 
     theta_d: float
     theta_dot_d: float
     theta_ddot_d: float
-    t: float
 
     def __post_init__(self):
-        for name in ("theta_d", "theta_dot_d", "theta_ddot_d", "t"):
+        for name in ("theta_d", "theta_dot_d", "theta_ddot_d"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class QuinticCoeffs:
-    """Quintic polynomial a0 + a1 t + ... + a5 t^5 valid on [0, T]."""
-
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    a5: float
-    T: float
 
 
 @dataclass(frozen=True)
@@ -72,40 +58,23 @@ class TaughtTrajectory:
     duration: float
 
 
-def quintic_fit(theta0: float, thetaf: float, T: float) -> QuinticCoeffs:
-    """Rest-to-rest quintic through (theta0, thetaf) over [0, T].
+def quintic_eval(theta0: float, thetaf: float, T: float, t: float) -> RefSample:
+    """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
-    Solves the 6x6 boundary system for position, velocity and acceleration
-    equal to (theta0, 0, 0) at t=0 and (thetaf, 0, 0) at t=T.
+    The closed form theta0 + (thetaf - theta0)(10 s^3 - 15 s^4 + 6 s^5) with
+    s = t/T has zero velocity and acceleration at both ends. Outside [0, T]
+    the nearest boundary sample is held.
     """
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T!r}")
-    M = np.array([
-        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, T, T ** 2, T ** 3, T ** 4, T ** 5],
-        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 2 * T, 3 * T ** 2, 4 * T ** 3, 5 * T ** 4],
-        [0.0, 0.0, 2.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 2.0, 6 * T, 12 * T ** 2, 20 * T ** 3],
-    ])
-    b = np.array([theta0, thetaf, 0.0, 0.0, 0.0, 0.0])
-    a = np.linalg.solve(M, b)
-    return QuinticCoeffs(a0=a[0], a1=a[1], a2=a[2], a3=a[3], a4=a[4], a5=a[5], T=T)
-
-
-def quintic_eval(c: QuinticCoeffs, t: float) -> RefSample:
-    """Evaluate the quintic and its first two derivatives at time t.
-
-    Outside [0, T] the nearest boundary sample is held (zero velocity and
-    acceleration there by construction); the emitted timestamp is the
-    caller's t either way.
-    """
-    tc = min(max(t, 0.0), c.T)
-    a = (c.a0, c.a1, c.a2, c.a3, c.a4, c.a5)
-    pos = sum(a[j] * tc ** j for j in range(6))
-    vel = sum(j * a[j] * tc ** (j - 1) for j in range(1, 6))
-    acc = sum(j * (j - 1) * a[j] * tc ** (j - 2) for j in range(2, 6))
-    return RefSample(theta_d=pos, theta_dot_d=vel, theta_ddot_d=acc, t=t)
+    s = min(max(t, 0.0), T) / T
+    r = 1.0 - s
+    d = thetaf - theta0
+    return RefSample(
+        theta_d=theta0 + d * s * s * s * (10.0 + s * (-15.0 + 6.0 * s)),
+        theta_dot_d=30.0 * d / T * s * s * r * r,
+        theta_ddot_d=60.0 * d / (T * T) * s * r * (1.0 - 2.0 * s),
+    )
 
 
 def sine_ref(A: float, f: float, k: float, t: float, dt: float = DEFAULT_DT) -> RefSample:
@@ -123,16 +92,18 @@ def sine_ref(A: float, f: float, k: float, t: float, dt: float = DEFAULT_DT) -> 
         theta_d=half * math.sin(phase) + half,
         theta_dot_d=half * w * math.cos(phase),
         theta_ddot_d=-half * w * w * math.sin(phase),
-        t=t * dt,
     )
 
 
 def record_teach(samples: Iterable[Sequence[float]]) -> TaughtTrajectory:
     """Store a (t, theta, theta_dot) demonstration verbatim.
 
-    Requires at least two samples with strictly increasing timestamps.
+    Requires at least two finite samples with strictly increasing timestamps.
     """
     stored = tuple((float(s[0]), float(s[1]), float(s[2])) for s in samples)
+    for i, sample in enumerate(stored):
+        if not all(map(math.isfinite, sample)):
+            raise ValueError(f"teach sample {i} must be finite, got {sample!r}")
     if len(stored) < 2:
         raise ValueError(f"need at least 2 samples, got {len(stored)}")
     for prev, cur in zip(stored, stored[1:]):
@@ -146,8 +117,8 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
 
     Angle and velocity are linearly interpolated; acceleration comes from
     central finite differences of the resampled velocity, with one-sided
-    differences at the endpoints. Timestamps are shifted so the replay starts
-    at t=0. With smooth=True a 5-tap moving average is applied to the velocity
+    differences at the endpoints. Sample i lies i*dt after the first
+    demonstration sample. With smooth=True a 5-tap moving average is applied to the velocity
     before differencing (off by default: the raw pipeline is the baseline).
     """
     if dt <= 0:
@@ -168,7 +139,7 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
     acc[0] = (theta_dot[1] - theta_dot[0]) / dt
     acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
     return [
-        RefSample(theta_d=theta[i], theta_dot_d=theta_dot[i], theta_ddot_d=acc[i], t=t_grid[i])
+        RefSample(theta_d=theta[i], theta_dot_d=theta_dot[i], theta_ddot_d=acc[i])
         for i in range(n)
     ]
 
@@ -182,7 +153,7 @@ def clamp_to_limits(ref: RefSample, lim: JointLimits) -> RefSample:
     if lim.theta_min <= ref.theta_d <= lim.theta_max:
         return ref
     clamped = min(max(ref.theta_d, lim.theta_min), lim.theta_max)
-    return RefSample(theta_d=clamped, theta_dot_d=0.0, theta_ddot_d=0.0, t=ref.t)
+    return RefSample(theta_d=clamped, theta_dot_d=0.0, theta_ddot_d=0.0)
 
 
 def save_teach_csv(path, tt: TaughtTrajectory) -> None:
@@ -208,5 +179,7 @@ def load_teach_csv(path) -> TaughtTrajectory:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 3 values, got {len(row)}")
             rows.append((float(row[0]), float(row[1]), float(row[2])))
     return record_teach(rows)

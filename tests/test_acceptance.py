@@ -33,7 +33,6 @@ from shouldersim import (
     multisine_profile,
     presets,
     quintic_eval,
-    quintic_fit,
     record_teach,
     run_scenario,
     simulate_record,
@@ -214,10 +213,9 @@ def test_criterion_07_quintic_boundary_residuals():
     rng = np.random.default_rng(1007)
     worst = 0.0
     for _ in range(1000):
-        theta0, thetaf = rng.uniform(-1.5, 1.5, size=2)
+        theta0, thetaf = map(float, rng.uniform(-1.5, 1.5, size=2))
         T = float(rng.uniform(0.5, 30.0))
-        c = quintic_fit(float(theta0), float(thetaf), T)
-        start, end = quintic_eval(c, 0.0), quintic_eval(c, T)
+        start, end = quintic_eval(theta0, thetaf, T, 0.0), quintic_eval(theta0, thetaf, T, T)
         worst = max(
             worst,
             abs(start.theta_d - theta0),
@@ -268,7 +266,7 @@ def test_criterion_09_teach_round_trip():
     demo = []
     for tick in range(154):
         s = sine_ref(0.8, 2.2e-3, 300.0, float(tick), dt)
-        demo.append((s.t, s.theta_d, s.theta_dot_d))
+        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
     worst_grid = max(
         abs(r.theta_d - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt).theta_d)
@@ -276,15 +274,14 @@ def test_criterion_09_teach_round_trip():
     )
 
     # off-grid demonstration sampled at 10 ms, replayed on the control grid
-    c = quintic_fit(0.3, 0.42, 6.0)
     demo = []
     for i in range(601):
         t = i * 0.01
-        s = quintic_eval(c, t)
+        s = quintic_eval(0.3, 0.42, 6.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
     worst_offgrid = max(
-        abs(r.theta_d - quintic_eval(c, r.t).theta_d) for r in refs
+        abs(r.theta_d - quintic_eval(0.3, 0.42, 6.0, i * dt).theta_d) for i, r in enumerate(refs)
     )
 
     ok = worst_grid <= 1e-3 and worst_offgrid <= 1e-3

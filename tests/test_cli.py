@@ -164,6 +164,41 @@ def test_teach_repeat_writes_artifacts(tmp_path, capsys):
     assert set(json.loads((tmp_path / "metrics.json").read_text())) == {"abad"}
 
 
+def one_line_error(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    return captured
+
+
+def test_teach_rejects_short_row(tmp_path, capsys):
+    path = tmp_path / "demo.csv"
+    path.write_text("t,theta,theta_dot\n0.0,0.5,0.0\n0.1,0.6\n")
+    err = one_line_error(capsys, ["teach", "--record", str(path)]).err
+    assert f"{path}: line 3: expected 3 values, got 2" in err
+
+
+def test_sysid_rejects_short_row(tmp_path, capsys):
+    path = tmp_path / "record.csv"
+    path.write_text("t,u,theta\n0.0,50\n0.065,50,0.0\n")
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    assert f"{path}: line 2: expected 3 values, got 2" in err
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_teach_rejects_non_finite_samples(tmp_path, capsys, bad, repeat):
+    path = tmp_path / "demo.csv"
+    path.write_text(f"t,theta,theta_dot\n0.0,0.5,0.0\n0.1,{bad},0.0\n0.2,0.7,0.0\n")
+    argv = ["teach", "--record", str(path)]
+    if repeat:
+        argv += ["--repeat", "--out", str(tmp_path / "out")]
+    captured = one_line_error(capsys, argv)
+    assert "teach sample 1 must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])

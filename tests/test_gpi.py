@@ -15,7 +15,6 @@ from shouldersim import (
     feedforward,
     hurwitz_poly,
     quintic_eval,
-    quintic_fit,
     step,
 )
 
@@ -27,7 +26,6 @@ WIDE = SaturationLimits(u_min=-1e9, u_max=1e9)
 
 
 def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=None, rho=0.0):
-    coeffs = quintic_fit(theta0, thetaf, T)
     gains = compute_gains(design, tf)
     n = int(round(duration / dt)) + 1
     state = PlantState(theta=theta0, theta_dot=0.0)
@@ -35,7 +33,7 @@ def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=
     e_log = np.empty(n)
     u_log = np.empty(n)
     for i in range(n):
-        ref = quintic_eval(coeffs, i * dt)
+        ref = quintic_eval(theta0, thetaf, T, i * dt)
         u, cs = control_step(cs, gains, tf, state.theta, ref, dt, sat)
         e_log[i] = state.theta - ref.theta_d
         u_log[i] = u
@@ -133,18 +131,17 @@ def test_pole_placement_identity_property():
 
 
 def test_feedforward_examples():
-    assert feedforward(G1, RefSample(0.0, 0.0, 0.0, 0.0)) == 0.0
-    assert abs(feedforward(G1, RefSample(1.0, 0.0, 0.0, 0.0)) - 76.85589519650655) < 1e-9
-    assert abs(feedforward(G2, RefSample(0.5585, 0.0, 0.0, 0.0)) - 62.158840381991816) < 1e-9
+    assert feedforward(G1, RefSample(0.0, 0.0, 0.0)) == 0.0
+    assert abs(feedforward(G1, RefSample(1.0, 0.0, 0.0)) - 76.85589519650655) < 1e-9
+    assert abs(feedforward(G2, RefSample(0.5585, 0.0, 0.0)) - 62.158840381991816) < 1e-9
 
 
 def test_perfect_tracking_returns_feedforward():
     # with zero error, zero integrals and the reconstruction pinned at the
     # reference velocity, every correction term vanishes and u equals u_d
-    coeffs = quintic_fit(0.1745, 0.6981, 10.0)
     gains = compute_gains(S1_DESIGN, G1)
     for t in (0.0, 2.5, 5.0, 7.75):
-        ref = quintic_eval(coeffs, t)
+        ref = quintic_eval(0.1745, 0.6981, 10.0, t)
         cs = ControllerState(e0=0.0, theta_dot0=0.0, theta_int=ref.theta_dot_d)
         u, _ = control_step(cs, gains, G1, ref.theta_d, ref, 0.065, WIDE)
         assert abs(u - feedforward(G1, ref)) < 1e-12
@@ -153,7 +150,7 @@ def test_perfect_tracking_returns_feedforward():
 def test_constant_error_pure_proportional():
     gains = GpiGains(k0=0.0, k1=0.0, k2=1.0, k3=0.0)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
-    ref = RefSample(0.0, 0.0, 0.0, 0.0)
+    ref = RefSample(0.0, 0.0, 0.0)
     sat = SaturationLimits(-10.0, 10.0)
     cs = ControllerState(e0=0.0)
     for _ in range(20):
@@ -165,7 +162,7 @@ def test_trapezoidal_integrals_exact():
     # dyadic dt and values make the trapezoid sums exact in floating point
     gains = GpiGains(0.0, 0.0, 0.0, 0.0)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
-    ref = RefSample(0.0, 0.0, 0.0, 0.0)
+    ref = RefSample(0.0, 0.0, 0.0)
     dt, n = 0.25, 16
 
     cs = ControllerState(e0=0.0)
@@ -182,7 +179,7 @@ def test_trapezoidal_integrals_exact():
 
 def test_first_tick_captures_initial_error():
     gains = compute_gains(S1_DESIGN, G1)
-    ref = RefSample(0.5, 0.0, 0.0, 0.0)
+    ref = RefSample(0.5, 0.0, 0.0)
     cs = ControllerState()
     _, nxt = control_step(cs, gains, G1, 0.41, ref, 0.065, WIDE)
     assert nxt.e0 == pytest.approx(-0.09)
@@ -193,7 +190,7 @@ def test_first_tick_captures_initial_error():
 
 def test_rejects_non_finite_measurement():
     gains = compute_gains(S1_DESIGN, G1)
-    ref = RefSample(0.5, 0.0, 0.0, 0.0)
+    ref = RefSample(0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="non-finite measurement rejected"):
         control_step(ControllerState(), gains, G1, float("nan"), ref, 0.065, WIDE)
 
@@ -203,9 +200,9 @@ def test_saturation_safety_property():
     sat = SaturationLimits(0.0, 100.0)
     gains = compute_gains(S1_DESIGN, G1)
     cs = ControllerState()
-    for i in range(300):
+    for _ in range(300):
         ref = RefSample(float(rng.uniform(0.0, 1.4)), float(rng.uniform(-1, 1)),
-                        float(rng.uniform(-1, 1)), i * 0.065)
+                        float(rng.uniform(-1, 1)))
         meas = float(rng.uniform(-2.0, 2.0))
         u, cs = control_step(cs, gains, G1, meas, ref, 0.065, sat)
         assert 0.0 <= u <= 100.0
@@ -214,7 +211,7 @@ def test_saturation_safety_property():
 def test_anti_windup_freezes_error_integrals():
     gains = compute_gains(S1_DESIGN, G1)
     sat = SaturationLimits(0.0, 100.0)
-    ref = RefSample(0.5, 0.0, 0.0, 0.0)
+    ref = RefSample(0.5, 0.0, 0.0)
     cs = ControllerState()
     _, cs = control_step(cs, gains, G1, 0.5, ref, 0.065, sat)
 

@@ -99,7 +99,6 @@ def test_reference_builders():
 
     refs = build_reference(SineRef(1.0, 1.6e-3, 300.0), dt=0.065, n=50)
     assert len(refs) == 50
-    assert refs[3].t == pytest.approx(3 * 0.065)
 
 
 def test_teach_reference_holds_after_demo_ends():
@@ -109,7 +108,6 @@ def test_teach_reference_holds_after_demo_ends():
     # the demo covers 5 s = 77 grid samples; the tail holds the final angle
     assert refs[-1].theta_d == refs[90].theta_d
     assert refs[-1].theta_dot_d == 0.0
-    assert refs[-1].t == pytest.approx(199 * 0.065)
 
 
 def test_run_quintic_reach_tracks():
@@ -148,7 +146,7 @@ def test_zero_length_reference_at_raised_angle():
     # absorbs it and the command settles back onto the feedforward value
     s = default_scenario(QuinticRef(0.5, 0.5, 10.0), duration=20.0)
     se = run_scenario(s).series["abad"]
-    u_d = feedforward(presets.ABAD_PLANT, RefSample(0.5, 0.0, 0.0, 0.0))
+    u_d = feedforward(presets.ABAD_PLANT, RefSample(0.5, 0.0, 0.0))
     assert np.max(np.abs(se.e)) < 2e-3
     assert abs(se.e[-1]) < 1e-9
     assert abs(se.u[-1] - u_d) < 1e-9

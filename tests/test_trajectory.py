@@ -11,7 +11,6 @@ from shouldersim import (
     differentiate_teach,
     load_teach_csv,
     quintic_eval,
-    quintic_fit,
     record_teach,
     save_teach_csv,
     sine_ref,
@@ -28,56 +27,55 @@ def test_limit_validation():
     with pytest.raises(ValueError):
         JointLimits(theta_min=1.0, theta_max=1.0)
     with pytest.raises(ValueError):
-        RefSample(float("nan"), 0.0, 0.0, 0.0)
+        RefSample(float("nan"), 0.0, 0.0)
 
 
 def test_quintic_constant_when_endpoints_equal():
-    c = quintic_fit(0.3, 0.3, 5.0)
-    assert c.a0 == 0.3
-    assert c.a1 == c.a2 == c.a3 == c.a4 == c.a5 == 0.0
+    for t in np.linspace(-1.0, 6.0, 29):
+        s = quintic_eval(0.3, 0.3, 5.0, float(t))
+        assert (s.theta_d, s.theta_dot_d, s.theta_ddot_d) == (0.3, 0.0, 0.0)
 
 
 def test_unit_quintic_coefficients():
-    # theta_d(t) = 10 t^3 - 15 t^4 + 6 t^5 on [0, 1]
-    c = quintic_fit(0.0, 1.0, 1.0)
-    assert np.allclose([c.a0, c.a1, c.a2, c.a3, c.a4, c.a5], [0, 0, 0, 10, -15, 6], atol=1e-9)
+    # theta_d(t) = 10 t^3 - 15 t^4 + 6 t^5 on [0, 1], and its derivatives
+    pos = np.polynomial.Polynomial([0, 0, 0, 10, -15, 6])
+    for t in np.linspace(0.0, 1.0, 41):
+        s = quintic_eval(0.0, 1.0, 1.0, float(t))
+        assert s.theta_d == pytest.approx(pos(t), abs=1e-12)
+        assert s.theta_dot_d == pytest.approx(pos.deriv(1)(t), abs=1e-12)
+        assert s.theta_ddot_d == pytest.approx(pos.deriv(2)(t), abs=1e-12)
 
 
 def test_quintic_midpoint_symmetry():
-    c = quintic_fit(0.1745, 0.6981, 10.0)
-    mid = quintic_eval(c, 5.0)
+    mid = quintic_eval(0.1745, 0.6981, 10.0, 5.0)
     assert abs(mid.theta_d - 0.4363) < 1e-12
 
 
 def test_quintic_eval_boundary_samples():
-    c = quintic_fit(0.2, 0.9, 7.0)
-    start = quintic_eval(c, 0.0)
-    end = quintic_eval(c, 7.0)
+    start = quintic_eval(0.2, 0.9, 7.0, 0.0)
+    end = quintic_eval(0.2, 0.9, 7.0, 7.0)
     assert (start.theta_d, start.theta_dot_d, start.theta_ddot_d) == pytest.approx((0.2, 0.0, 0.0))
     assert (end.theta_d, end.theta_dot_d, end.theta_ddot_d) == pytest.approx((0.9, 0.0, 0.0))
 
 
 def test_unit_quintic_at_midpoint():
-    c = quintic_fit(0.0, 1.0, 1.0)
-    mid = quintic_eval(c, 0.5)
+    mid = quintic_eval(0.0, 1.0, 1.0, 0.5)
     assert abs(mid.theta_d - 0.5) < 1e-9
     assert abs(mid.theta_dot_d - 1.875) < 1e-9
     assert abs(mid.theta_ddot_d) < 1e-9
 
 
 def test_quintic_eval_holds_beyond_duration():
-    c = quintic_fit(0.2, 0.9, 7.0)
-    held = quintic_eval(c, 12.0)
+    held = quintic_eval(0.2, 0.9, 7.0, 12.0)
     assert held.theta_d == pytest.approx(0.9)
     assert held.theta_dot_d == pytest.approx(0.0)
-    assert held.t == 12.0
 
 
 def test_quintic_rejects_bad_duration():
     with pytest.raises(ValueError):
-        quintic_fit(0.0, 1.0, 0.0)
+        quintic_eval(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        quintic_fit(0.0, 1.0, -3.0)
+        quintic_eval(0.0, 1.0, -3.0, 0.0)
 
 
 def test_quintic_boundary_residuals_property():
@@ -86,9 +84,8 @@ def test_quintic_boundary_residuals_property():
         theta0 = float(rng.uniform(0.1745, 1.396))
         thetaf = float(rng.uniform(0.1745, 1.396))
         T = float(rng.uniform(1.0, 30.0))
-        c = quintic_fit(theta0, thetaf, T)
-        start = quintic_eval(c, 0.0)
-        end = quintic_eval(c, T)
+        start = quintic_eval(theta0, thetaf, T, 0.0)
+        end = quintic_eval(theta0, thetaf, T, T)
         assert abs(start.theta_d - theta0) < 1e-9
         assert abs(end.theta_d - thetaf) < 1e-9
         assert abs(start.theta_dot_d) < 1e-9 and abs(end.theta_dot_d) < 1e-9
@@ -96,12 +93,11 @@ def test_quintic_boundary_residuals_property():
 
 
 def test_quintic_derivative_consistency():
-    c = quintic_fit(0.1745, 1.2, 8.0)
     h = 1e-3
     for t in np.linspace(0.5, 7.5, 15):
-        ahead = quintic_eval(c, t + h)
-        behind = quintic_eval(c, t - h)
-        here = quintic_eval(c, t)
+        ahead = quintic_eval(0.1745, 1.2, 8.0, t + h)
+        behind = quintic_eval(0.1745, 1.2, 8.0, t - h)
+        here = quintic_eval(0.1745, 1.2, 8.0, t)
         assert abs((ahead.theta_d - behind.theta_d) / (2 * h) - here.theta_dot_d) < 1e-4
         assert abs((ahead.theta_dot_d - behind.theta_dot_d) / (2 * h) - here.theta_ddot_d) < 1e-4
 
@@ -115,7 +111,6 @@ def test_sine_case_a_initial_value_and_range():
     # tick-index time base: t counts controller ticks, wall time is t*dt
     s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=0.0)
     assert abs(s.theta_d - 0.00012208004942526607) < 1e-15
-    assert s.t == 0.0
     for tick in range(0, 5000, 37):
         s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=float(tick))
         assert 0.0 <= s.theta_d <= 1.0
@@ -164,6 +159,12 @@ def test_record_teach_rejects_bad_streams():
         record_teach([(0.0, 0.2, 0.0)])
     with pytest.raises(ValueError):
         record_teach([(0.0, 0.2, 0.0), (0.0, 0.3, 0.0)])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for col in range(3):
+            sample = [0.5, 0.6, 0.0]
+            sample[col] = bad
+            with pytest.raises(ValueError, match="teach sample 1 must be finite"):
+                record_teach([(0.0, 0.5, 0.0), tuple(sample), (1.0, 0.7, 0.0)])
 
 
 def test_differentiate_linear_velocity():
@@ -180,7 +181,7 @@ def test_differentiate_sine_matches_analytic_acceleration():
     demo = []
     for tick in range(120):
         s = sine_ref(A, f, k, float(tick), dt)
-        demo.append((s.t, s.theta_d, s.theta_dot_d))
+        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
     for tick, r in enumerate(refs[1:-1], start=1):
         truth = sine_ref(A, f, k, float(tick), dt)
@@ -193,7 +194,7 @@ def test_teach_replay_round_trip():
     demo = []
     for tick in range(100):
         s = sine_ref(A, f, k, float(tick), dt)
-        demo.append((s.t, s.theta_d, s.theta_dot_d))
+        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
     for tick, r in enumerate(refs):
         truth = sine_ref(A, f, k, float(tick), dt)
@@ -202,25 +203,23 @@ def test_teach_replay_round_trip():
 
 def test_teach_round_trip_from_offgrid_samples():
     # band-limited demo sampled at 0.01 s, resampled onto the 0.065 s grid
-    c = quintic_fit(0.5, 0.58, 5.0)
     demo = []
     for i in range(501):
         t = i * 0.01
-        s = quintic_eval(c, t)
+        s = quintic_eval(0.5, 0.58, 5.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=0.065)
-    for r in refs:
-        truth = quintic_eval(c, r.t)
+    for i, r in enumerate(refs):
+        truth = quintic_eval(0.5, 0.58, 5.0, i * 0.065)
         assert abs(r.theta_d - truth.theta_d) < 1e-3
 
 
 def test_smoothing_reduces_acceleration_noise():
     rng = np.random.default_rng(5)
-    c = quintic_fit(0.3, 0.9, 8.0)
     demo = []
     for i in range(124):
         t = i * 0.065
-        s = quintic_eval(c, t)
+        s = quintic_eval(0.3, 0.9, 8.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d + rng.normal(0.0, 1e-3)))
     tt = record_teach(demo)
     raw = differentiate_teach(tt, dt=0.065, smooth=False)
@@ -232,15 +231,14 @@ def test_smoothing_reduces_acceleration_noise():
 
 
 def test_clamp_below_floor():
-    clamped = clamp_to_limits(RefSample(0.05, 0.4, 0.1, 1.0), S1_LIMITS)
+    clamped = clamp_to_limits(RefSample(0.05, 0.4, 0.1), S1_LIMITS)
     assert clamped.theta_d == 0.1745
     assert clamped.theta_dot_d == 0.0
     assert clamped.theta_ddot_d == 0.0
-    assert clamped.t == 1.0
 
 
 def test_clamp_leaves_in_range_samples_alone():
-    ref = RefSample(0.5, 0.4, 0.1, 1.0)
+    ref = RefSample(0.5, 0.4, 0.1)
     assert clamp_to_limits(ref, S1_LIMITS) == ref
 
 
@@ -251,7 +249,6 @@ def test_clamp_idempotence_property():
             float(rng.uniform(-1.0, 2.5)),
             float(rng.uniform(-1.0, 1.0)),
             float(rng.uniform(-1.0, 1.0)),
-            float(rng.uniform(0.0, 10.0)),
         )
         once = clamp_to_limits(ref, S1_LIMITS)
         twice = clamp_to_limits(once, S1_LIMITS)
@@ -277,3 +274,4 @@ def test_teach_csv_round_trip(tmp_path):
     back = load_teach_csv(path)
     assert back.samples == tt.samples
     assert back.duration == tt.duration
+
