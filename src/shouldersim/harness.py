@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -114,6 +115,8 @@ class Scenario:
             raise ValueError(f"duration must be >= dt, got {self.duration!r}")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_samples(self) -> int:
@@ -154,33 +157,40 @@ class SimResult:
     metrics: Dict[str, Metrics]
 
 
-def build_reference(ref: ReferenceSpec, dt: float, n: int) -> List[RefSample]:
-    """Sample a reference spec at ticks 0..n-1.
+@np.errstate(all="ignore")  # an overflow is reported by the finiteness check, not warned
+def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
+    """Sample a reference spec at ticks 0..n-1 as one RefSample of length-n arrays.
 
     Taught demonstrations shorter than the run are held at their final angle
-    with zero velocity and acceleration.
+    with zero velocity and acceleration. A reference that is not finite at
+    some tick (it overflowed) raises ValueError.
     """
     if isinstance(ref, QuinticRef):
-        return [quintic_eval(ref.theta0, ref.thetaf, ref.T, i * dt) for i in range(n)]
-    if isinstance(ref, SineRef):
-        return [sine_ref(ref.A, ref.f, ref.k, i, dt) for i in range(n)]
-    if isinstance(ref, TeachRef):
-        taught = load_teach_csv(ref.file)
-        samples = differentiate_teach(taught, dt, smooth=ref.smooth)
-        if len(samples) > n:
-            return samples[:n]
-        hold = RefSample(theta_d=samples[-1].theta_d, theta_dot_d=0.0, theta_ddot_d=0.0)
-        return samples + [hold] * (n - len(samples))
-    raise TypeError(f"unknown reference spec {type(ref).__name__}")
+        out = quintic_eval(ref.theta0, ref.thetaf, ref.T, np.arange(n) * dt)
+    elif isinstance(ref, SineRef):
+        out = sine_ref(ref.A, ref.f, ref.k, np.arange(n), dt)
+    elif isinstance(ref, TeachRef):
+        taught = differentiate_teach(load_teach_csv(ref.file), dt, smooth=ref.smooth)
+        pad = (0, max(n - len(taught.theta_d), 0))
+        rates = (np.pad(x[:n], pad) for x in taught[1:])
+        out = RefSample(np.pad(taught.theta_d[:n], pad, mode="edge"), *rates)
+    else:
+        raise TypeError(f"unknown reference spec {type(ref).__name__}")
+    for name, values in zip(RefSample._fields, out):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"reference {name} is not finite at tick {bad[0]}: {float(values[bad[0]])!r}")
+    return out
 
 
 def run_scenario(s: Scenario) -> SimResult:
     """Simulate every joint loop of a scenario. Deterministic given the seed."""
     n = s.n_samples
+    t = np.arange(n) * s.dt
     series: Dict[str, JointSeries] = {}
     for idx, (joint, cfg) in enumerate(s.joints.items()):
-        refs = [clamp_to_limits(r, cfg.limits) for r in build_reference(cfg.reference, s.dt, n)]
         try:
+            ref = clamp_to_limits(build_reference(cfg.reference, s.dt, n), cfg.limits)
             gains = compute_gains(cfg.design, cfg.plant)
         except ValueError as ex:
             raise ValueError(f"joint {joint}: {ex}") from ex
@@ -190,28 +200,24 @@ def run_scenario(s: Scenario) -> SimResult:
             noise = rng.uniform(-s.noise_amplitude, s.noise_amplitude, size=n)
         else:
             noise = np.zeros(n)
+        dist = cfg.disturbance
+        rho = np.zeros(n) if dist is None else np.where(t >= dist.onset - 1e-12, dist.magnitude, 0.0)
 
-        t = np.arange(n) * s.dt
-        theta_d = np.array([r.theta_d for r in refs])
         theta_meas = np.empty(n)
         u_log = np.empty(n)
-
-        state = PlantState(theta=refs[0].theta_d, theta_dot=0.0)
-        cs = ControllerState(theta_dot0=refs[0].theta_dot_d)
-        dist = cfg.disturbance
-        for i in range(n):
-            meas = state.theta + noise[i]
-            u, cs = control_step(cs, gains, cfg.plant, meas, refs[i], s.dt, cfg.saturation)
+        state = PlantState(theta=float(ref.theta_d[0]), theta_dot=0.0)
+        cs = ControllerState(theta_dot0=float(ref.theta_dot_d[0]))
+        ticks = zip(map(RefSample._make, zip(*(x.tolist() for x in ref))), noise.tolist(), rho.tolist())
+        for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
+            meas = state.theta + noise_i
+            u, cs = control_step(cs, gains, cfg.plant, meas, ref_i, s.dt, cfg.saturation)
             theta_meas[i] = meas
             u_log[i] = u
             if i < n - 1:
-                rho = 0.0
-                if dist is not None and t[i] >= dist.onset - 1e-12:
-                    rho = dist.magnitude
-                state = plant_step(state, cfg.plant, u, rho, s.dt)
+                state = plant_step(state, cfg.plant, u, rho_i, s.dt)
 
         series[joint] = JointSeries(
-            t=t, theta_d=theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - theta_d
+            t=t, theta_d=ref.theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - ref.theta_d
         )
     result = SimResult(scenario=s, series=series, metrics={})
     result.metrics = compute_metrics(result)
@@ -364,13 +370,17 @@ def _from_dict(cls, d: dict, base_dir):
     """Build dataclass cls from a JSON object, decoding each field by its type.
 
     A key that is absent takes the field's default; a field without a default
-    is required, and its absence raises KeyError naming it.
+    is required, and its absence raises KeyError naming it. A value of the
+    wrong JSON type raises ValueError naming the field.
     """
-    return cls(**{
-        f.name: _DECODERS[f.type](d[f.name], base_dir)
-        for f in fields(cls)
-        if f.name in d or f.default is MISSING
-    })
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d or f.default is MISSING:
+            try:
+                kwargs[f.name] = _DECODERS[f.type](d[f.name], base_dir)
+            except TypeError as ex:
+                raise ValueError(f"{cls.__name__}.{f.name}: {ex}") from None
+    return cls(**kwargs)
 
 
 def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
@@ -388,12 +398,26 @@ def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
     return ref
 
 
+def _scalar(cast, accepts, expected):
+    """Decoder of a JSON scalar: cast(v) if accepts(v), else TypeError."""
+    def decode(v, _):
+        if not accepts(v):
+            raise TypeError(f"expected {expected}, got {v!r}")
+        return cast(v)
+    return decode
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 # Field annotation (a string: the dataclass modules postpone annotations) ->
-# decoder of the field's JSON value. JSON ints become floats.
+# decoder of the field's JSON value. JSON ints become floats; an integral
+# float (1.0) is accepted as an int.
 _DECODERS = {
-    "float": lambda v, _: float(v),
-    "int": lambda v, _: int(v),
-    "bool": lambda v, _: bool(v),
+    "float": _scalar(float, _is_number, "a number"),
+    "int": _scalar(int, lambda v: _is_number(v) and v % 1 == 0, "an integer"),
+    "bool": _scalar(bool, lambda v: isinstance(v, bool), "true or false"),
     "str": lambda v, _: str(v),
     "SecondOrderTf": lambda v, b: _from_dict(SecondOrderTf, v, b),
     "GpiDesign": lambda v, b: _from_dict(GpiDesign, v, b),

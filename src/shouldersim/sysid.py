@@ -14,13 +14,13 @@ least-squares fit.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import PlantState, SecondOrderTf, step as plant_step
+from .trajectory import read_csv_rows
 
 _BIAS_ITERATIONS = 50
 
@@ -226,21 +226,17 @@ def multistep_profile(n: int, seed: int = 0, hold: int = 80) -> np.ndarray:
 
 
 def load_io_csv(path, ts: float = 0.065) -> IoRecord:
-    """Read a t,u,theta CSV into an IoRecord sampled at ts."""
-    u, theta = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty record file")
-        expected = ["t", "u", "theta"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {reader.line_num}: expected 3 values, got {len(row)}")
-            u.append(float(row[1]))
-            theta.append(float(row[2]))
-    return IoRecord(u=np.array(u), theta=np.array(theta), ts=ts)
+    """Read a t,u,theta CSV into an IoRecord sampled at ts.
+
+    Every step of the t column must equal ts to within 1e-6 * ts.
+    """
+    rows = read_csv_rows(path, ("t", "u", "theta"), "record")
+    data = np.array([values for _, values in rows]).reshape(-1, 3)
+    rec = IoRecord(u=data[:, 1], theta=data[:, 2], ts=ts)
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(data[:, 0])
+        bad = np.flatnonzero(~(np.abs(steps - ts) <= 1e-6 * ts))
+    if len(bad):
+        line, step = rows[bad[0] + 1][0], float(steps[bad[0]])
+        raise ValueError(f"{path}: line {line}: t step {step!r} s differs from ts = {ts!r} s")
+    return rec

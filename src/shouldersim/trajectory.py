@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -35,19 +35,16 @@ class JointLimits:
             )
 
 
-@dataclass(frozen=True)
-class RefSample:
-    """Desired angle (rad), velocity (rad/s) and acceleration (rad/s^2)."""
+class RefSample(NamedTuple):
+    """Desired angle (rad), velocity (rad/s) and acceleration (rad/s^2).
 
-    theta_d: float
-    theta_dot_d: float
-    theta_ddot_d: float
+    Each field holds a float (one tick) or a length-n array (a whole
+    reference, tick by tick).
+    """
 
-    def __post_init__(self):
-        for name in ("theta_d", "theta_dot_d", "theta_ddot_d"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+    theta_d: float | np.ndarray
+    theta_dot_d: float | np.ndarray
+    theta_ddot_d: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,16 +55,16 @@ class TaughtTrajectory:
     duration: float
 
 
-def quintic_eval(theta0: float, thetaf: float, T: float, t: float) -> RefSample:
+def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
     The closed form theta0 + (thetaf - theta0)(10 s^3 - 15 s^4 + 6 s^5) with
     s = t/T has zero velocity and acceleration at both ends. Outside [0, T]
-    the nearest boundary sample is held.
+    the nearest boundary sample is held. t is a float or an array of times.
     """
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T!r}")
-    s = min(max(t, 0.0), T) / T
+    s = np.clip(t, 0.0, T) / T
     r = 1.0 - s
     d = thetaf - theta0
     return RefSample(
@@ -77,11 +74,12 @@ def quintic_eval(theta0: float, thetaf: float, T: float, t: float) -> RefSample:
     )
 
 
-def sine_ref(A: float, f: float, k: float, t: float, dt: float = DEFAULT_DT) -> RefSample:
+def sine_ref(A: float, f: float, k: float, t, dt: float = DEFAULT_DT) -> RefSample:
     """Offset sine reference theta_d = (A/2) sin(f*t + k) + A/2.
 
-    t is the controller tick index and f, k are per-tick quantities; the
-    derivatives are taken with respect to wall-clock time (tick * dt).
+    t is the controller tick index (or an array of them) and f, k are
+    per-tick quantities; the derivatives are taken with respect to
+    wall-clock time (tick * dt).
     """
     if A <= 0:
         raise ValueError(f"A must be > 0, got {A!r}")
@@ -89,9 +87,9 @@ def sine_ref(A: float, f: float, k: float, t: float, dt: float = DEFAULT_DT) -> 
     half = 0.5 * A
     w = f / dt
     return RefSample(
-        theta_d=half * math.sin(phase) + half,
-        theta_dot_d=half * w * math.cos(phase),
-        theta_ddot_d=-half * w * w * math.sin(phase),
+        theta_d=half * np.sin(phase) + half,
+        theta_dot_d=half * w * np.cos(phase),
+        theta_ddot_d=-half * w * w * np.sin(phase),
     )
 
 
@@ -112,7 +110,7 @@ def record_teach(samples: Iterable[Sequence[float]]) -> TaughtTrajectory:
     return TaughtTrajectory(samples=stored, duration=stored[-1][0] - stored[0][0])
 
 
-def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -> List[RefSample]:
+def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -> RefSample:
     """Resample a demonstration onto a uniform dt grid and estimate acceleration.
 
     Angle and velocity are linearly interpolated; acceleration comes from
@@ -120,12 +118,15 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
     differences at the endpoints. Sample i lies i*dt after the first
     demonstration sample. With smooth=True a 5-tap moving average is applied to the velocity
     before differencing (off by default: the raw pipeline is the baseline).
+    The demonstration must last at least one tick.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
+    n = int(math.floor(tt.duration / dt + 1e-9)) + 1
+    if n < 2:
+        raise ValueError(f"demonstration lasts {tt.duration!r} s, shorter than one tick of {dt!r} s")
     data = np.asarray(tt.samples, dtype=float)
     t_src = data[:, 0] - data[0, 0]
-    n = int(math.floor(tt.duration / dt + 1e-9)) + 1
     t_grid = np.arange(n) * dt
     theta = np.interp(t_grid, t_src, data[:, 1])
     theta_dot = np.interp(t_grid, t_src, data[:, 2])
@@ -134,26 +135,21 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
         padded = np.concatenate([theta_dot[2:0:-1], theta_dot, theta_dot[-2:-4:-1]])
         theta_dot = np.convolve(padded, kernel, mode="valid")
     acc = np.empty(n)
-    if n >= 3:
-        acc[1:-1] = (theta_dot[2:] - theta_dot[:-2]) / (2.0 * dt)
+    acc[1:-1] = (theta_dot[2:] - theta_dot[:-2]) / (2.0 * dt)
     acc[0] = (theta_dot[1] - theta_dot[0]) / dt
     acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
-    return [
-        RefSample(theta_d=theta[i], theta_dot_d=theta_dot[i], theta_ddot_d=acc[i])
-        for i in range(n)
-    ]
+    return RefSample(theta_d=theta, theta_dot_d=theta_dot, theta_ddot_d=acc)
 
 
 def clamp_to_limits(ref: RefSample, lim: JointLimits) -> RefSample:
     """Clamp the desired angle into the joint interval.
 
     A clamped sample gets zero velocity and acceleration: the reference is
-    parked at the limit, not moving through it.
+    parked at the limit, not moving through it. Works per tick or on arrays.
     """
-    if lim.theta_min <= ref.theta_d <= lim.theta_max:
-        return ref
-    clamped = min(max(ref.theta_d, lim.theta_min), lim.theta_max)
-    return RefSample(theta_d=clamped, theta_dot_d=0.0, theta_ddot_d=0.0)
+    inside = (lim.theta_min <= ref.theta_d) & (ref.theta_d <= lim.theta_max)
+    rates = (np.where(inside, x, 0.0)[()] for x in ref[1:])  # [()]: a float stays a float
+    return RefSample(np.clip(ref.theta_d, lim.theta_min, lim.theta_max), *rates)
 
 
 def save_teach_csv(path, tt: TaughtTrajectory) -> None:
@@ -165,21 +161,33 @@ def save_teach_csv(path, tt: TaughtTrajectory) -> None:
             writer.writerow([repr(t), repr(theta), repr(theta_dot)])
 
 
-def load_teach_csv(path) -> TaughtTrajectory:
-    """Read a t,theta,theta_dot CSV demonstration."""
+def read_csv_rows(path, header: Sequence[str], what: str) -> List[Tuple[int, Tuple[float, ...]]]:
+    """(line number, values) of each row of a numeric CSV file with this header.
+
+    Blank lines are skipped. A missing or different header, a row of another
+    width and a non-numeric value raise ValueError; the last two name the
+    file and line.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty teach file")
-        expected = ["t", "theta", "theta_dot"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
+        found = next(reader, None)
+        if found is None:
+            raise ValueError(f"{path}: empty {what} file")
+        if [h.strip() for h in found] != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)}, got {','.join(found)}")
         for row in reader:
             if not row:
                 continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {reader.line_num}: expected 3 values, got {len(row)}")
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
-    return record_teach(rows)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} values, got {len(row)}")
+                rows.append((reader.line_num, tuple(map(float, row))))
+            except ValueError as ex:
+                raise ValueError(f"{path}: line {reader.line_num}: {ex}") from None
+    return rows
+
+
+def load_teach_csv(path) -> TaughtTrajectory:
+    """Read a t,theta,theta_dot CSV demonstration."""
+    return record_teach(values for _, values in read_csv_rows(path, ("t", "theta", "theta_dot"), "teach"))

@@ -268,9 +268,10 @@ def test_criterion_09_teach_round_trip():
         s = sine_ref(0.8, 2.2e-3, 300.0, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
+    assert len(refs.theta_d) == 154
     worst_grid = max(
-        abs(r.theta_d - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt).theta_d)
-        for i, r in enumerate(refs)
+        abs(theta - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt).theta_d)
+        for i, theta in enumerate(refs.theta_d)
     )
 
     # off-grid demonstration sampled at 10 ms, replayed on the control grid
@@ -280,8 +281,10 @@ def test_criterion_09_teach_round_trip():
         s = quintic_eval(0.3, 0.42, 6.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
+    assert len(refs.theta_d) == 93
     worst_offgrid = max(
-        abs(r.theta_d - quintic_eval(0.3, 0.42, 6.0, i * dt).theta_d) for i, r in enumerate(refs)
+        abs(theta - quintic_eval(0.3, 0.42, 6.0, i * dt).theta_d)
+        for i, theta in enumerate(refs.theta_d)
     )
 
     ok = worst_grid <= 1e-3 and worst_offgrid <= 1e-3

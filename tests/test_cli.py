@@ -186,6 +186,92 @@ def test_sysid_rejects_short_row(tmp_path, capsys):
     assert f"{path}: line 2: expected 3 values, got 2" in err
 
 
+def test_teach_rejects_non_numeric_value(tmp_path, capsys):
+    path = tmp_path / "demo.csv"
+    path.write_text("t,theta,theta_dot\n0.0,0.5,0.0\n0.1,abc,0.0\n")
+    err = one_line_error(capsys, ["teach", "--record", str(path)]).err
+    assert f"error: {path}: line 3: could not convert string to float: 'abc'" in err
+
+
+def test_sysid_rejects_non_numeric_value(tmp_path, capsys):
+    path = tmp_path / "record.csv"
+    path.write_text("t,u,theta\n0.0,50,0.0\n0.065,50,x1\n")
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    assert f"error: {path}: line 3: could not convert string to float: 'x1'" in err
+
+
+def test_sysid_rejects_record_sampled_at_another_period(tmp_path, capsys):
+    # a record sampled at 0.13 s identified as 0.065 s would give gamma0 4x too large
+    n = 2000
+    u = multisine_profile(n, seed=3)
+    theta = simulate_record(presets.ABAD_PLANT, IoRecord(u=u, theta=np.zeros(n), ts=0.13))
+    path = tmp_path / "record.csv"
+    lines = ["t,u,theta"] + [f"{k * 0.13!r},{float(u[k])!r},{float(theta[k])!r}" for k in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    assert f"{path}: line 3: t step 0.13 s differs from ts = 0.065 s" in err
+    rc = main(["sysid", "--csv", str(path), "--ts", "0.13"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert printed_value(out, "gamma0") == pytest.approx(presets.ABAD_PLANT.gamma0, rel=0.01)
+
+
+def test_teach_repeat_rejects_demo_shorter_than_one_tick(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("t,theta,theta_dot\n0.0,0.3,0.0\n0.01,0.31,0.1\n")
+    err = one_line_error(capsys, ["teach", "--record", str(path), "--repeat", "--out", str(tmp_path / "o")]).err
+    assert "demonstration lasts 0.01 s, shorter than one tick of 0.065 s" in err
+    assert not (tmp_path / "o").exists()
+
+
+def run_edited_scenario(tmp_path, capsys, edit, name="reach_q1"):
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    edit(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return one_line_error(capsys, ["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "seed must be a non-negative integer, got -1"),
+        (1.5, "Scenario.seed: expected an integer, got 1.5"),
+        ("3", "Scenario.seed: expected an integer, got '3'"),
+        (True, "Scenario.seed: expected an integer, got True"),
+    ],
+)
+def test_run_rejects_bad_seed(tmp_path, capsys, seed, message):
+    err = run_edited_scenario(tmp_path, capsys, lambda d: d.update(seed=seed)).err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("smooth", ["false", 0, None])
+def test_run_rejects_non_boolean_smooth(tmp_path, capsys, smooth):
+    def edit(d):
+        d["joints"]["abad"]["reference"]["file"] = str(SCENARIOS / "taught_demo.csv")
+        d["joints"]["abad"]["reference"]["smooth"] = smooth
+
+    err = run_edited_scenario(tmp_path, capsys, edit, name="teach_repeat").err
+    assert f"TeachRef.smooth: expected true or false, got {smooth!r}" in err
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        {"kind": "sine", "A": 1e300, "f": 1e200, "k": 0.0},
+        {"kind": "quintic", "theta0": -1e308, "thetaf": 1e308, "T": 5.0},
+    ],
+    ids=["sine", "quintic"],
+)
+def test_run_rejects_overflowing_reference(tmp_path, capsys, reference):
+    # a numpy RuntimeWarning would fail this test (warnings are errors)
+    err = run_edited_scenario(tmp_path, capsys, lambda d: d["joints"]["abad"].update(reference=reference)).err
+    assert "joint abad: reference theta_" in err and "is not finite at tick" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("repeat", [False, True])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_teach_rejects_non_finite_samples(tmp_path, capsys, bad, repeat):

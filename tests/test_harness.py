@@ -91,23 +91,35 @@ def test_sample_count_for_ten_second_run():
 
 def test_reference_builders():
     refs = build_reference(QuinticRef(0.2, 0.9, 5.0), dt=0.065, n=120)
-    assert len(refs) == 120
-    assert refs[0].theta_d == pytest.approx(0.2)
+    assert [len(x) for x in refs] == [120, 120, 120]
+    assert refs.theta_d[0] == pytest.approx(0.2)
     # beyond the quintic duration the reference parks at the target
-    assert refs[-1].theta_d == pytest.approx(0.9)
-    assert refs[-1].theta_dot_d == pytest.approx(0.0)
+    assert refs.theta_d[-1] == pytest.approx(0.9)
+    assert refs.theta_dot_d[-1] == pytest.approx(0.0)
 
     refs = build_reference(SineRef(1.0, 1.6e-3, 300.0), dt=0.065, n=50)
-    assert len(refs) == 50
+    assert [len(x) for x in refs] == [50, 50, 50]
+
+
+@pytest.mark.parametrize(
+    "spec", [SineRef(A=1e300, f=1e200, k=0.0), QuinticRef(-1e308, 1e308, 5.0)], ids=["sine", "quintic"]
+)
+def test_build_reference_rejects_overflowing_reference(spec):
+    # the spec is finite, but its samples overflow to inf or nan
+    with pytest.raises(ValueError, match="is not finite at tick"):
+        build_reference(spec, dt=0.065, n=50)
 
 
 def test_teach_reference_holds_after_demo_ends():
     demo = presets.scenario_dir() / "taught_demo.csv"
     refs = build_reference(TeachRef(file=str(demo)), dt=0.065, n=200)
-    assert len(refs) == 200
+    assert [len(x) for x in refs] == [200, 200, 200]
     # the demo covers 5 s = 77 grid samples; the tail holds the final angle
-    assert refs[-1].theta_d == refs[90].theta_d
-    assert refs[-1].theta_dot_d == 0.0
+    assert np.all(refs.theta_d[76:] == refs.theta_d[76])
+    assert np.all(refs.theta_dot_d[77:] == 0.0) and np.all(refs.theta_ddot_d[77:] == 0.0)
+    # a run shorter than the demo takes its first n samples
+    head = build_reference(TeachRef(file=str(demo)), dt=0.065, n=10)
+    assert all(np.array_equal(h, r[:10]) for h, r in zip(head, refs))
 
 
 def test_run_quintic_reach_tracks():

@@ -205,3 +205,38 @@ def test_io_csv_round_trip(tmp_path):
     back = load_io_csv(path, ts=TS)
     assert np.array_equal(back.u, rec.u)
     assert np.array_equal(back.theta, rec.theta)
+
+
+def write_io_csv(path, rec, times):
+    lines = ["t,u,theta"]
+    for t, u, theta in zip(times, rec.u.tolist(), rec.theta.tolist()):
+        lines.append(f"{t!r},{u!r},{theta!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("ts", [0.065, 0.01, 0.65])
+def test_io_csv_accepts_timestamps_k_times_ts(tmp_path, ts):
+    # t = k * ts accumulates no drift, but its steps differ from ts by roundoff
+    rec = make_record(G1, 7000, seed=7, ts=ts)
+    path = tmp_path / "run.csv"
+    write_io_csv(path, rec, [k * ts for k in range(len(rec))])
+    back = load_io_csv(path, ts=ts)
+    assert back.ts == ts
+    assert np.array_equal(back.u, rec.u) and np.array_equal(back.theta, rec.theta)
+
+
+def test_io_csv_rejects_timestamps_off_ts(tmp_path):
+    rec = make_record(G1, 50, seed=6)
+    path = tmp_path / "run.csv"
+    write_io_csv(path, rec, [k * 2 * TS for k in range(len(rec))])
+    with pytest.raises(ValueError, match=r"line 3: t step 0\.13 s differs from ts = 0\.065 s"):
+        load_io_csv(path, ts=TS)
+    # the tolerance is 1e-6 * ts per step
+    times = [k * TS for k in range(len(rec))]
+    times[20] += 0.5e-6 * TS
+    write_io_csv(path, rec, times)
+    load_io_csv(path, ts=TS)
+    times[20] += 2e-6 * TS
+    write_io_csv(path, rec, times)
+    with pytest.raises(ValueError, match="line 22: t step"):
+        load_io_csv(path, ts=TS)

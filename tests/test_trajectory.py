@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shouldersim import (
     DEFAULT_DT,
@@ -26,8 +27,6 @@ def test_default_sample_period():
 def test_limit_validation():
     with pytest.raises(ValueError):
         JointLimits(theta_min=1.0, theta_max=1.0)
-    with pytest.raises(ValueError):
-        RefSample(float("nan"), 0.0, 0.0)
 
 
 def test_quintic_constant_when_endpoints_equal():
@@ -148,8 +147,19 @@ def test_record_teach_constant_demo():
     tt = record_teach([(0.0, 0.2, 0.0), (5.0, 0.2, 0.0)])
     assert tt.duration == 5.0
     refs = differentiate_teach(tt, dt=0.065)
-    assert all(r.theta_d == pytest.approx(0.2) for r in refs)
-    assert all(abs(r.theta_ddot_d) < 1e-12 for r in refs)
+    assert len(refs.theta_d) == 77
+    assert refs.theta_d == pytest.approx(0.2)
+    assert np.all(np.abs(refs.theta_ddot_d) < 1e-12)
+
+
+def test_differentiate_teach_rejects_demo_shorter_than_one_tick():
+    tt = record_teach([(0.0, 0.3, 0.0), (0.01, 0.31, 0.1)])
+    with pytest.raises(ValueError, match=r"lasts 0\.01 s, shorter than one tick of 0\.065 s"):
+        differentiate_teach(tt, dt=0.065)
+    # exactly one tick long gives the two grid samples
+    refs = differentiate_teach(record_teach([(0.0, 0.3, 0.0), (0.065, 0.31, 0.1)]), dt=0.065)
+    assert refs.theta_d.tolist() == [0.3, 0.31]
+    assert refs.theta_ddot_d.tolist() == [0.1 / 0.065] * 2
 
 
 def test_record_teach_rejects_bad_streams():
@@ -172,8 +182,8 @@ def test_differentiate_linear_velocity():
     ts = np.arange(0.0, 4.0 + 1e-9, 0.1)
     tt = record_teach([(t, 0.5 * t * t, t) for t in ts])
     refs = differentiate_teach(tt, dt=0.1)
-    for r in refs[1:-1]:
-        assert abs(r.theta_ddot_d - 1.0) < 1e-9
+    assert len(refs.theta_ddot_d) == 41
+    assert np.all(np.abs(refs.theta_ddot_d[1:-1] - 1.0) < 1e-9)
 
 
 def test_differentiate_sine_matches_analytic_acceleration():
@@ -183,9 +193,10 @@ def test_differentiate_sine_matches_analytic_acceleration():
         s = sine_ref(A, f, k, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
-    for tick, r in enumerate(refs[1:-1], start=1):
+    assert len(refs.theta_ddot_d) == 120
+    for tick, acc in enumerate(refs.theta_ddot_d[1:-1], start=1):
         truth = sine_ref(A, f, k, float(tick), dt)
-        assert abs(r.theta_ddot_d - truth.theta_ddot_d) < 1e-8
+        assert abs(acc - truth.theta_ddot_d) < 1e-8
 
 
 def test_teach_replay_round_trip():
@@ -196,9 +207,10 @@ def test_teach_replay_round_trip():
         s = sine_ref(A, f, k, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt)
-    for tick, r in enumerate(refs):
+    assert len(refs.theta_d) == 100
+    for tick, theta in enumerate(refs.theta_d):
         truth = sine_ref(A, f, k, float(tick), dt)
-        assert abs(r.theta_d - truth.theta_d) < 1e-3
+        assert abs(theta - truth.theta_d) < 1e-3
 
 
 def test_teach_round_trip_from_offgrid_samples():
@@ -209,9 +221,10 @@ def test_teach_round_trip_from_offgrid_samples():
         s = quintic_eval(0.5, 0.58, 5.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=0.065)
-    for i, r in enumerate(refs):
+    assert len(refs.theta_d) == 77
+    for i, theta in enumerate(refs.theta_d):
         truth = quintic_eval(0.5, 0.58, 5.0, i * 0.065)
-        assert abs(r.theta_d - truth.theta_d) < 1e-3
+        assert abs(theta - truth.theta_d) < 1e-3
 
 
 def test_smoothing_reduces_acceleration_noise():
@@ -224,9 +237,9 @@ def test_smoothing_reduces_acceleration_noise():
     tt = record_teach(demo)
     raw = differentiate_teach(tt, dt=0.065, smooth=False)
     smoothed = differentiate_teach(tt, dt=0.065, smooth=True)
-    assert len(raw) == len(smoothed)
-    std_raw = np.std([r.theta_ddot_d for r in raw[2:-2]])
-    std_smooth = np.std([r.theta_ddot_d for r in smoothed[2:-2]])
+    assert len(raw.theta_ddot_d) == len(smoothed.theta_ddot_d) == 124
+    std_raw = np.std(raw.theta_ddot_d[2:-2])
+    std_smooth = np.std(smoothed.theta_ddot_d[2:-2])
     assert std_smooth < std_raw
 
 
@@ -275,3 +288,37 @@ def test_teach_csv_round_trip(tmp_path):
     assert back.samples == tt.samples
     assert back.duration == tt.duration
 
+
+
+def _same_bits(array_ref, scalar_refs):
+    """True when a RefSample of arrays holds exactly the per-tick scalar samples."""
+    per_tick = np.array([tuple(r) for r in scalar_refs], dtype=float).T
+    return np.stack(array_ref).tobytes() == per_tick.tobytes()
+
+
+_ANGLE = st.floats(-3.0, 3.0)
+
+
+@settings(deadline=None)
+@given(
+    theta0=_ANGLE,
+    thetaf=_ANGLE,
+    T=st.floats(0.01, 50.0),
+    times=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=20),
+    A=st.floats(1e-3, 3.0),
+    f=st.floats(-0.1, 0.1),
+    k=st.floats(-1e3, 1e3),
+    ticks=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=20),
+    theta_d=st.lists(_ANGLE, min_size=1, max_size=20),
+)
+def test_array_references_equal_scalar_calls_bit_for_bit(theta0, thetaf, T, times, A, f, k, ticks, theta_d):
+    # times reach outside [0, T] and theta_d outside the limits
+    q = quintic_eval(theta0, thetaf, T, np.array(times))
+    assert _same_bits(q, [quintic_eval(theta0, thetaf, T, t) for t in times])
+    s = sine_ref(A, f, k, np.array(ticks), 0.065)
+    assert _same_bits(s, [sine_ref(A, f, k, tick, 0.065) for tick in ticks])
+    n = len(theta_d)
+    rates = np.linspace(-1.0, 1.0, n)
+    ref = RefSample(np.array(theta_d), rates, 2.0 * rates)
+    scalars = [RefSample(*r) for r in zip(theta_d, rates.tolist(), (2.0 * rates).tolist())]
+    assert _same_bits(clamp_to_limits(ref, S1_LIMITS), [clamp_to_limits(r, S1_LIMITS) for r in scalars])
