@@ -6,7 +6,7 @@ controller synthesized by pole placement, and ships a scenario-driven harness
 with CSV/SVG export plus tools for trajectory generation, kinematics and
 transfer-function identification.
 """
-from .plant import DisturbanceSpec, PlantState, SecondOrderTf, dc_gain, poles, step, to_state_space
+from .plant import DisturbanceSpec, PlantState, SecondOrderTf, dc_gain, step
 from .gpi import (
     ControllerState,
     GpiDesign,
@@ -49,7 +49,6 @@ from .sysid import (
     fit_percent,
     load_io_csv,
     multisine_profile,
-    multistep_profile,
     simulate_record,
     to_continuous,
 )

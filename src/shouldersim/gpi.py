@@ -22,8 +22,8 @@ dividing the explicit part by (1 + k3*dt/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -79,9 +79,8 @@ class SaturationLimits:
         return min(max(u, self.u_min), self.u_max)
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Running state of one control loop.
+class ControllerState(NamedTuple):
+    """Running state of one control loop; not validated per instance.
 
     int_e and dint_e are the trapezoidal estimates of the single and double
     integrals of the tracking error; theta_int is the trapezoidal integral of
@@ -145,8 +144,12 @@ def closed_loop_char_poly(gains: GpiGains, tf: SecondOrderTf) -> np.ndarray:
 
 
 def feedforward(tf: SecondOrderTf, ref: RefSample) -> float:
-    """Nominal input u_d = (theta_ddot_d + gamma1*theta_dot_d + gamma2*theta_d) / gamma0."""
-    return (ref.theta_ddot_d + tf.gamma1 * ref.theta_dot_d + tf.gamma2 * ref.theta_d) / tf.gamma0
+    """Nominal input u_d = (theta_ddot_d + gamma1*theta_dot_d + gamma2*theta_d) / gamma0.
+
+    ref is any (theta_d, theta_dot_d, theta_ddot_d) triple.
+    """
+    theta_d, theta_dot_d, theta_ddot_d = ref
+    return (theta_ddot_d + tf.gamma1 * theta_dot_d + tf.gamma2 * theta_d) / tf.gamma0
 
 
 def control_step(
@@ -160,8 +163,9 @@ def control_step(
 ):
     """One tick of the discrete GPI law. Returns (u, successor state).
 
-    All integrals advance by the trapezoidal rule over the interval h since
-    the previous tick. The first tick has no preceding interval: it is the
+    ref is any (theta_d, theta_dot_d, theta_ddot_d) triple of floats. All
+    integrals advance by the trapezoidal rule over the interval h since the
+    previous tick. The first tick has no preceding interval: it is the
     h = 0 case, so the integrals keep their initial values and the implicit
     correction vanishes. When the raw command exceeds the saturation
     limits, the error integrals are frozen for that tick (conditional
@@ -173,39 +177,31 @@ def control_step(
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    e = theta_meas - ref.theta_d
-    e0 = cs.e0 if cs.e0 is not None else e
+    int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
+    theta_d, theta_dot_d, _ = ref
+    e = theta_meas - theta_d
+    if e0 is None:
+        e0 = e
     u_d = feedforward(tf, ref)
     k0, k1, k2, k3 = gains.k0, gains.k1, gains.k2, gains.k3
 
-    if cs.u_prev is None:
+    if u_prev is None:
         h, e_prev, u_prev = 0.0, e, 0.0
     else:
-        h, e_prev, u_prev = dt, cs.e_prev, cs.u_prev
-    int_e = cs.int_e + 0.5 * h * (e_prev + e)
-    dint_e = cs.dint_e + 0.5 * h * (cs.int_e + int_e)
-    theta_int_known = cs.theta_int + 0.5 * h * u_prev
+        h = dt
+    int_e = int_e_prev + 0.5 * h * (e_prev + e)
+    dint_e = dint_e_prev + 0.5 * h * (int_e_prev + int_e)
+    theta_int_known = theta_int_prev + 0.5 * h * u_prev
     explicit = (
         u_d
-        - k3 * (theta_int_known - cs.theta_dot0 - ref.theta_dot_d)
+        - k3 * (theta_int_known - theta_dot0 - theta_dot_d)
         + (-k2 * (e - e0) - k1 * int_e - k0 * dint_e) / tf.gamma0
     )
     u_raw = explicit / (1.0 + 0.5 * k3 * h)
 
     u = sat.clamp(u_raw)
     if u != u_raw:
-        int_e = cs.int_e
-        dint_e = cs.dint_e
-    theta_int = cs.theta_int + 0.5 * h * (u_prev + u)
-
-    nxt = replace(
-        cs,
-        int_e=int_e,
-        dint_e=dint_e,
-        theta_int=theta_int,
-        e0=e0,
-        u_prev=u,
-        e_prev=e,
-    )
-    return u, nxt
-
+        int_e = int_e_prev
+        dint_e = dint_e_prev
+    theta_int = theta_int_prev + 0.5 * h * (u_prev + u)
+    return u, ControllerState(int_e, dint_e, theta_int, e0, theta_dot0, u, e)

@@ -207,7 +207,7 @@ def run_scenario(s: Scenario) -> SimResult:
         u_log = np.empty(n)
         state = PlantState(theta=float(ref.theta_d[0]), theta_dot=0.0)
         cs = ControllerState(theta_dot0=float(ref.theta_dot_d[0]))
-        ticks = zip(map(RefSample._make, zip(*(x.tolist() for x in ref))), noise.tolist(), rho.tolist())
+        ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
         for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
             meas = state.theta + noise_i
             u, cs = control_step(cs, gains, cfg.plant, meas, ref_i, s.dt, cfg.saturation)
@@ -273,15 +273,10 @@ def export_csv(r: SimResult, out_dir) -> List[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for joint, series in r.series.items():
-        lines = ["t,theta_d,theta_meas,u,e"]
-        for i in range(len(series.t)):
-            lines.append(
-                f"{float(series.t[i])!r},{float(series.theta_d[i])!r},"
-                f"{float(series.theta_meas[i])!r},{float(series.u[i])!r},"
-                f"{float(series.e[i])!r}"
-            )
+        columns = (series.t, series.theta_d, series.theta_meas, series.u, series.e)
+        rows = ("%r,%r,%r,%r,%r\n" % row for row in zip(*(x.tolist() for x in columns)))
         path = out_dir / f"{joint}.csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, "".join(["t,theta_d,theta_meas,u,e\n", *rows]))
         written.append(path)
     return written
 
@@ -371,8 +366,10 @@ def _from_dict(cls, d: dict, base_dir):
 
     A key that is absent takes the field's default; a field without a default
     is required, and its absence raises KeyError naming it. A value of the
-    wrong JSON type raises ValueError naming the field.
+    wrong JSON type raises ValueError naming the field; d itself not being
+    an object raises TypeError, which the caller names.
     """
+    _expect_object(d)
     kwargs = {}
     for f in fields(cls):
         if f.name in d or f.default is MISSING:
@@ -383,8 +380,14 @@ def _from_dict(cls, d: dict, base_dir):
     return cls(**kwargs)
 
 
+def _expect_object(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"expected an object, got {v!r}")
+    return v
+
+
 def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
-    kind = d.get("kind")
+    kind = _expect_object(d).get("kind")
     if kind not in _REFERENCE_KINDS:
         raise ValueError(f"unknown reference kind {kind!r}")
     ref = _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
@@ -425,12 +428,16 @@ _DECODERS = {
     "SaturationLimits": lambda v, b: _from_dict(SaturationLimits, v, b),
     "ReferenceSpec": _reference_from_dict,
     "Optional[DisturbanceSpec]": lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
-    "Dict[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in v.items()},
+    "Dict[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in _expect_object(v).items()},
 }
 
 
 def scenario_from_dict(d: dict, base_dir=None) -> Scenario:
     """Build a Scenario from parsed JSON; teach files resolve against base_dir."""
+    try:
+        _expect_object(d)
+    except TypeError as ex:
+        raise ValueError(f"Scenario: {ex}") from None
     return _from_dict(Scenario, d, base_dir)
 
 

@@ -13,11 +13,9 @@ where rho is an additive input disturbance in PWM-% equivalents.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -47,18 +45,15 @@ class SecondOrderTf:
             raise ValueError(f"gamma2 must be > 0, got {self.gamma2!r}")
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Instantaneous joint state: angle (rad) and angular velocity (rad/s)."""
+class PlantState(NamedTuple):
+    """Instantaneous joint state: angle (rad) and angular velocity (rad/s).
+
+    Not validated per instance: step checks the states it produces, and the
+    initial state comes from validated input (a reference or a record).
+    """
 
     theta: float
     theta_dot: float
-
-    def __post_init__(self):
-        for name in ("theta", "theta_dot"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,24 +70,14 @@ class DisturbanceSpec:
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
 
 
-def to_state_space(tf: SecondOrderTf):
-    """Controllable canonical realization (A, B, C) with x = [theta, theta_dot].
-
-    A has characteristic polynomial s^2 + gamma1*s + gamma2, B injects the
-    input into the acceleration row and C reads the angle.
-    """
-    A = np.array([[0.0, 1.0], [-tf.gamma2, -tf.gamma1]])
-    B = np.array([0.0, tf.gamma0])
-    C = np.array([1.0, 0.0])
-    return A, B, C
-
-
 def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) -> PlantState:
     """Advance the plant ODE by one fixed RK4 step with zero-order-hold input.
 
     The caller is responsible for saturating u beforehand; u and rho are held
-    constant over the step. Raises ValueError for non-finite input and for
-    non-positive dt; PlantState already guarantees a finite state.
+    constant over the step. Stage i evaluates the derivative (v_i, a_i) at
+    the stage point, with a_i = gamma0*(u + rho) - gamma1*v_i - gamma2*th_i.
+    Raises ValueError for non-finite input, for non-positive dt and for a
+    successor state that is not finite.
     """
     if dt <= 0.0 or not math.isfinite(dt):
         raise ValueError(f"dt must be > 0, got {dt!r}")
@@ -100,20 +85,22 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
         raise ValueError("non-finite input rejected")
 
     g0, g1, g2 = tf.gamma0, tf.gamma1, tf.gamma2
-    ue = u + rho
+    force = g0 * (u + rho)
+    half = 0.5 * dt
+    th, td = state
+    a1 = force - g1 * td - g2 * th
+    v2 = td + half * a1
+    a2 = force - g1 * v2 - g2 * (th + half * td)
+    v3 = td + half * a2
+    a3 = force - g1 * v3 - g2 * (th + half * v2)
+    v4 = td + dt * a3
+    a4 = force - g1 * v4 - g2 * (th + dt * v3)
 
-    def deriv(th, td):
-        return td, g0 * ue - g1 * td - g2 * th
-
-    th, td = state.theta, state.theta_dot
-    k1 = deriv(th, td)
-    k2 = deriv(th + 0.5 * dt * k1[0], td + 0.5 * dt * k1[1])
-    k3 = deriv(th + 0.5 * dt * k2[0], td + 0.5 * dt * k2[1])
-    k4 = deriv(th + dt * k3[0], td + dt * k3[1])
-
-    theta = th + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    theta_dot = td + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return PlantState(theta=theta, theta_dot=theta_dot)
+    theta = th + dt / 6.0 * (td + 2.0 * v2 + 2.0 * v3 + v4)
+    theta_dot = td + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    if not (math.isfinite(theta) and math.isfinite(theta_dot)):
+        raise ValueError(f"plant state must be finite, got theta={theta!r}, theta_dot={theta_dot!r}")
+    return PlantState(theta, theta_dot)
 
 
 def dc_gain(tf: SecondOrderTf) -> float:
@@ -121,9 +108,3 @@ def dc_gain(tf: SecondOrderTf) -> float:
     if tf.gamma2 == 0.0:
         raise ValueError("marginal plant")
     return tf.gamma0 / tf.gamma2
-
-
-def poles(tf: SecondOrderTf):
-    """Roots of s^2 + gamma1*s + gamma2 as a (plus, minus) pair of complex numbers."""
-    disc = cmath.sqrt(tf.gamma1 * tf.gamma1 - 4.0 * tf.gamma2)
-    return ((-tf.gamma1 + disc) / 2.0, (-tf.gamma1 - disc) / 2.0)

@@ -162,8 +162,8 @@ def simulate_record(tf: SecondOrderTf, rec: IoRecord) -> np.ndarray:
     out = np.empty(len(rec))
     state = PlantState(theta=float(rec.theta[0]), theta_dot=0.0)
     out[0] = state.theta
-    for k in range(1, len(rec)):
-        state = plant_step(state, tf, float(rec.u[k - 1]), 0.0, rec.ts)
+    for k, u in enumerate(rec.u[:-1].tolist(), 1):
+        state = plant_step(state, tf, u, 0.0, rec.ts)
         out[k] = state.theta
     return out
 
@@ -216,13 +216,6 @@ def multisine_profile(n: int, seed: int = 0) -> np.ndarray:
     for w, amp in lines:
         u = u + amp * np.sin(w * t + rng.uniform(0.0, 2.0 * np.pi))
     return np.clip(u, 0.0, 100.0)
-
-
-def multistep_profile(n: int, seed: int = 0, hold: int = 80) -> np.ndarray:
-    """Seeded piecewise-constant PWM profile in [0, 100], held `hold` samples per level."""
-    rng = np.random.default_rng(seed)
-    levels = rng.uniform(0.0, 100.0, size=n // hold + 1)
-    return np.repeat(levels, hold)[:n]
 
 
 def load_io_csv(path, ts: float = 0.065) -> IoRecord:

@@ -247,6 +247,36 @@ def test_run_rejects_bad_seed(tmp_path, capsys, seed, message):
     assert not (tmp_path / "out").exists()
 
 
+def _set_joint_field(field, value):
+    return lambda d: d["joints"]["abad"].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(joints=[]), "Scenario.joints: expected an object, got []"),
+        (lambda d: d.update(joints="x"), "Scenario.joints: expected an object, got 'x'"),
+        (lambda d: d["joints"].update(abad=3), "Scenario.joints: expected an object, got 3"),
+        (_set_joint_field("plant", [1, 2]), "JointConfig.plant: expected an object, got [1, 2]"),
+        (_set_joint_field("reference", [1]), "JointConfig.reference: expected an object, got [1]"),
+        (_set_joint_field("disturbance", "x"), "JointConfig.disturbance: expected an object, got 'x'"),
+    ],
+    ids=["joints-list", "joints-str", "joint-int", "plant-list", "reference-list", "disturbance-str"],
+)
+def test_run_rejects_non_object_value(tmp_path, capsys, edit, message):
+    err = run_edited_scenario(tmp_path, capsys, edit).err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("top", [[1, 2], "x", 3, None])
+def test_run_rejects_non_object_file(tmp_path, capsys, top):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(top))
+    err = one_line_error(capsys, ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]).err
+    assert err == f"error: Scenario: expected an object, got {top!r}\n"
+
+
 @pytest.mark.parametrize("smooth", ["false", 0, None])
 def test_run_rejects_non_boolean_smooth(tmp_path, capsys, smooth):
     def edit(d):

@@ -8,9 +8,7 @@ from shouldersim import (
     PlantState,
     SecondOrderTf,
     dc_gain,
-    poles,
     step,
-    to_state_space,
 )
 
 G1 = SecondOrderTf(gamma0=0.0005725, gamma1=0.05725, gamma2=0.044)
@@ -32,25 +30,6 @@ def simulate_constant(tf, u, duration, dt, rho=0.0):
     return state
 
 
-def test_state_space_unit_oscillator():
-    A, B, C = to_state_space(SecondOrderTf(1.0, 0.0, 1.0))
-    assert np.array_equal(A, [[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(B, [0.0, 1.0])
-    assert np.array_equal(C, [1.0, 0.0])
-
-
-def test_state_space_abad_joint():
-    A, _, _ = to_state_space(G1)
-    assert np.array_equal(A, [[0.0, 1.0], [-0.044, -0.05725]])
-
-
-def test_state_space_eigenvalues_are_plant_poles():
-    A, _, _ = to_state_space(G1)
-    eig = np.sort_complex(np.linalg.eigvals(A))
-    expected = np.sort_complex(np.array([-0.028625 - 0.2077994451j, -0.028625 + 0.2077994451j]))
-    assert np.allclose(eig, expected, atol=1e-9)
-
-
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         SecondOrderTf(0.0, 0.1, 0.1)
@@ -60,8 +39,8 @@ def test_coefficient_validation():
         SecondOrderTf(1.0, 0.1, 0.0)
     with pytest.raises(ValueError):
         SecondOrderTf(float("nan"), 0.1, 0.1)
-    with pytest.raises(ValueError):
-        PlantState(theta=float("inf"), theta_dot=0.0)
+    with pytest.raises(ValueError, match="plant state must be finite"):
+        step(PlantState(theta=float("inf"), theta_dot=0.0), G1, u=0.0, rho=0.0, dt=0.065)
     with pytest.raises(ValueError):
         DisturbanceSpec(magnitude=5.0, onset=-1.0)
 
@@ -121,21 +100,6 @@ def test_dc_gain_values():
     assert abs(dc_gain(G2) - 0.0089850) < 1e-7
 
 
-def test_poles_critically_damped_double_pole():
-    plus, minus = poles(SecondOrderTf(1.0, 2.0, 1.0))
-    assert abs(plus - (-1.0)) < 1e-12
-    assert abs(minus - (-1.0)) < 1e-12
-
-
-def test_poles_complex_pairs():
-    plus, minus = poles(G1)
-    assert abs(plus - (-0.028625 + 0.2077994451j)) < 1e-9
-    assert abs(minus - (-0.028625 - 0.2077994451j)) < 1e-9
-    plus, minus = poles(G2)
-    assert abs(plus - (-0.1065 + 0.1716034673j)) < 1e-9
-    assert abs(minus - (-0.1065 - 0.1716034673j)) < 1e-9
-
-
 def test_equilibrium_invariance_property():
     rng = np.random.default_rng(7)
     state = PlantState(theta=0.0, theta_dot=0.0)
@@ -155,7 +119,7 @@ def test_final_value_property():
             gamma2=float(rng.uniform(0.035, 0.06)),
         )
         u = float(rng.uniform(10.0, 100.0))
-        horizon = 10.0 / abs(poles(tf)[0].real)
+        horizon = 10.0 / abs(np.roots([1.0, tf.gamma1, tf.gamma2])[0].real)
         state = simulate_constant(tf, u, duration=horizon, dt=0.065)
         target = dc_gain(tf) * u
         assert abs(state.theta - target) <= 1e-3 * abs(target)

@@ -12,7 +12,6 @@ from shouldersim import (
     fit_percent,
     load_io_csv,
     multisine_profile,
-    multistep_profile,
     simulate_record,
     to_continuous,
 )
@@ -191,8 +190,6 @@ def test_excitation_profiles_are_deterministic_and_bounded():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.all(a >= 0.0) and np.all(a <= 100.0)
-    steps = multistep_profile(500, seed=9)
-    assert np.all(steps >= 0.0) and np.all(steps <= 100.0)
 
 
 def test_io_csv_round_trip(tmp_path):
