@@ -28,7 +28,6 @@ from .trajectory import (
     load_teach_csv,
     quintic_eval,
     record_teach,
-    save_teach_csv,
     sine_ref,
 )
 from .kinematics import (

@@ -14,7 +14,6 @@ on stderr for any error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -85,10 +84,10 @@ def _cmd_sysid(args) -> int:
 
 def _cmd_teach(args) -> int:
     taught = load_teach_csv(args.record)
-    thetas = [s[1] for s in taught.samples]
+    thetas = taught.samples[:, 1]
     print(
-        f"demonstration: {len(taught.samples)} samples over {taught.duration:.3f} s, "
-        f"angle range [{min(thetas):.4f}, {max(thetas):.4f}] rad"
+        f"demonstration: {len(thetas)} samples over {taught.duration:.3f} s, "
+        f"angle range [{thetas.min():.4f}, {thetas.max():.4f}] rad"
     )
     if not args.repeat:
         return 0
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as ex:
+    except (ValueError, OSError) as ex:  # json.JSONDecodeError is a ValueError
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

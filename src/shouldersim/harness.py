@@ -14,12 +14,11 @@ advances the plant by one RK4 step with the applied, saturated command.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -42,6 +41,7 @@ from .trajectory import (
     differentiate_teach,
     load_teach_csv,
     quintic_eval,
+    read_csv_rows,
     sine_ref,
 )
 
@@ -132,6 +132,9 @@ class JointSeries:
     theta_meas: np.ndarray
     u: np.ndarray
     e: np.ndarray
+
+
+_SERIES_HEADER = tuple(f.name for f in fields(JointSeries))
 
 
 @dataclass(frozen=True)
@@ -265,34 +268,27 @@ def _atomic_write(path: Path, text: str) -> None:
 def export_csv(r: SimResult, out_dir) -> List[Path]:
     """Write one full-precision CSV per joint into out_dir; returns the paths.
 
-    Files are written atomically (temp file, then rename) with LF line
-    endings and float repr precision, so re-importing reproduces the series
-    bit-exactly.
+    The columns are the JointSeries fields. Files are written atomically
+    (temp file, then rename) with LF line endings and float repr precision,
+    so re-importing reproduces the series bit-exactly.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    row_format = ",".join(["%r"] * len(_SERIES_HEADER)) + "\n"
     written = []
     for joint, series in r.series.items():
-        columns = (series.t, series.theta_d, series.theta_meas, series.u, series.e)
-        rows = ("%r,%r,%r,%r,%r\n" % row for row in zip(*(x.tolist() for x in columns)))
+        columns = (getattr(series, name).tolist() for name in _SERIES_HEADER)
+        rows = (row_format % row for row in zip(*columns))
         path = out_dir / f"{joint}.csv"
-        _atomic_write(path, "".join(["t,theta_d,theta_meas,u,e\n", *rows]))
+        _atomic_write(path, "".join([",".join(_SERIES_HEADER) + "\n", *rows]))
         written.append(path)
     return written
 
 
 def load_series_csv(path) -> JointSeries:
     """Read back a CSV written by export_csv."""
-    cols = {"t": [], "theta_d": [], "theta_meas": [], "u": [], "e": []}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = list(cols)
-        if reader.fieldnames != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            for key in cols:
-                cols[key].append(float(row[key]))
-    return JointSeries(**{key: np.array(vals) for key, vals in cols.items()})
+    _, data = read_csv_rows(path, _SERIES_HEADER, "series")
+    return JointSeries(*data.T.copy())
 
 
 def export_plot(r: SimResult, path) -> Path:
@@ -315,16 +311,10 @@ def export_plot(r: SimResult, path) -> Path:
 
 def metrics_to_dict(metrics: Dict[str, Metrics]) -> dict:
     """JSON-friendly form of per-joint metrics (infinite settle time -> None)."""
-    out = {}
-    for joint, m in metrics.items():
-        out[joint] = {
-            "mse": m.mse,
-            "rmse": m.rmse,
-            "max_abs_error": m.max_abs_error,
-            "steady_state_error": m.steady_state_error,
-            "settle_time": None if math.isinf(m.settle_time) else m.settle_time,
-        }
-    return out
+    return {
+        joint: {**asdict(m), "settle_time": None if math.isinf(m.settle_time) else m.settle_time}
+        for joint, m in metrics.items()
+    }
 
 
 def write_artifacts(r: SimResult, out_dir) -> List[Path]:
@@ -364,19 +354,25 @@ def scenario_to_dict(obj) -> dict:
 def _from_dict(cls, d: dict, base_dir):
     """Build dataclass cls from a JSON object, decoding each field by its type.
 
-    A key that is absent takes the field's default; a field without a default
-    is required, and its absence raises KeyError naming it. A value of the
-    wrong JSON type raises ValueError naming the field; d itself not being
-    an object raises TypeError, which the caller names.
+    A key that is absent takes the field's default. A key that is not a
+    field, a required field (one without a default) that is absent and a
+    value of the wrong JSON type raise ValueError naming the class and key;
+    d itself not being an object raises TypeError, which the caller names.
     """
     _expect_object(d)
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{cls.__name__}: unknown field {key!r}")
     kwargs = {}
     for f in fields(cls):
-        if f.name in d or f.default is MISSING:
+        if f.name in d:
             try:
                 kwargs[f.name] = _DECODERS[f.type](d[f.name], base_dir)
             except TypeError as ex:
                 raise ValueError(f"{cls.__name__}.{f.name}: {ex}") from None
+        elif f.default is MISSING:
+            raise ValueError(f"{cls.__name__}.{f.name}: required field missing")
     return cls(**kwargs)
 
 
@@ -387,7 +383,8 @@ def _expect_object(v) -> dict:
 
 
 def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
-    kind = _expect_object(d).get("kind")
+    d = dict(_expect_object(d))
+    kind = d.pop("kind", None)
     if kind not in _REFERENCE_KINDS:
         raise ValueError(f"unknown reference kind {kind!r}")
     ref = _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
@@ -421,7 +418,7 @@ _DECODERS = {
     "float": _scalar(float, _is_number, "a number"),
     "int": _scalar(int, lambda v: _is_number(v) and v % 1 == 0, "an integer"),
     "bool": _scalar(bool, lambda v: isinstance(v, bool), "true or false"),
-    "str": lambda v, _: str(v),
+    "str": _scalar(str, lambda v: isinstance(v, str), "a string"),
     "SecondOrderTf": lambda v, b: _from_dict(SecondOrderTf, v, b),
     "GpiDesign": lambda v, b: _from_dict(GpiDesign, v, b),
     "JointLimits": lambda v, b: _from_dict(JointLimits, v, b),

@@ -78,14 +78,14 @@ def fit_arx2(rec: IoRecord) -> DiscreteArx2:
     y = rec.theta
     Y = y[2:]
     Phi = np.column_stack([-y[1:-1], -y[:-2], rec.u[1:-1]])
-    if np.linalg.matrix_rank(Phi) < 3:
+    theta, _, rank, _ = np.linalg.lstsq(Phi, Y, rcond=None)
+    if rank < 3:
         raise ValueError("insufficient excitation")
     n = len(Y)
     G = Phi.T @ Phi
     rhs = Phi.T @ Y
     correction = np.diag([1.0, 1.0, 0.0])
 
-    theta, *_ = np.linalg.lstsq(Phi, Y, rcond=None)
     sig2 = 0.0
     for _ in range(_BIAS_ITERATIONS):
         res = Y - Phi @ theta
@@ -223,13 +223,12 @@ def load_io_csv(path, ts: float = 0.065) -> IoRecord:
 
     Every step of the t column must equal ts to within 1e-6 * ts.
     """
-    rows = read_csv_rows(path, ("t", "u", "theta"), "record")
-    data = np.array([values for _, values in rows]).reshape(-1, 3)
+    lines, data = read_csv_rows(path, ("t", "u", "theta"), "record")
     rec = IoRecord(u=data[:, 1], theta=data[:, 2], ts=ts)
     with np.errstate(invalid="ignore"):
         steps = np.diff(data[:, 0])
         bad = np.flatnonzero(~(np.abs(steps - ts) <= 1e-6 * ts))
     if len(bad):
-        line, step = rows[bad[0] + 1][0], float(steps[bad[0]])
+        line, step = lines[bad[0] + 1], float(steps[bad[0]])
         raise ValueError(f"{path}: line {line}: t step {step!r} s differs from ts = {ts!r} s")
     return rec

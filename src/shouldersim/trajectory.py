@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class RefSample(NamedTuple):
 
 @dataclass(frozen=True)
 class TaughtTrajectory:
-    """A recorded demonstration: (t, theta, theta_dot) samples, verbatim."""
+    """A recorded demonstration: an (n, 3) read-only array of (t, theta, theta_dot) rows."""
 
-    samples: Tuple[Tuple[float, float, float], ...]
+    samples: np.ndarray
     duration: float
 
 
@@ -93,21 +93,28 @@ def sine_ref(A: float, f: float, k: float, t, dt: float = DEFAULT_DT) -> RefSamp
     )
 
 
-def record_teach(samples: Iterable[Sequence[float]]) -> TaughtTrajectory:
-    """Store a (t, theta, theta_dot) demonstration verbatim.
+def record_teach(samples) -> TaughtTrajectory:
+    """Store a (t, theta, theta_dot) demonstration verbatim as an (n, 3) array.
 
     Requires at least two finite samples with strictly increasing timestamps.
     """
-    stored = tuple((float(s[0]), float(s[1]), float(s[2])) for s in samples)
-    for i, sample in enumerate(stored):
-        if not all(map(math.isfinite, sample)):
-            raise ValueError(f"teach sample {i} must be finite, got {sample!r}")
-    if len(stored) < 2:
-        raise ValueError(f"need at least 2 samples, got {len(stored)}")
-    for prev, cur in zip(stored, stored[1:]):
-        if cur[0] <= prev[0]:
-            raise ValueError(f"timestamps must be strictly increasing, got {prev[0]!r} then {cur[0]!r}")
-    return TaughtTrajectory(samples=stored, duration=stored[-1][0] - stored[0][0])
+    data = np.array(samples, dtype=float)
+    if data.size == 0:
+        data = data.reshape(0, 3)
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise ValueError(f"teach samples must be (t, theta, theta_dot) rows, got shape {data.shape}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ValueError(f"teach sample {bad[0]} must be finite, got {tuple(data[bad[0]].tolist())!r}")
+    if len(data) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(data)}")
+    t = data[:, 0]
+    bad = np.flatnonzero(t[1:] <= t[:-1])
+    if len(bad):
+        prev, cur = t[bad[0]:bad[0] + 2].tolist()
+        raise ValueError(f"timestamps must be strictly increasing, got {prev!r} then {cur!r}")
+    data.flags.writeable = False
+    return TaughtTrajectory(samples=data, duration=float(t[-1]) - float(t[0]))
 
 
 def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -> RefSample:
@@ -125,7 +132,7 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
     n = int(math.floor(tt.duration / dt + 1e-9)) + 1
     if n < 2:
         raise ValueError(f"demonstration lasts {tt.duration!r} s, shorter than one tick of {dt!r} s")
-    data = np.asarray(tt.samples, dtype=float)
+    data = tt.samples
     t_src = data[:, 0] - data[0, 0]
     t_grid = np.arange(n) * dt
     theta = np.interp(t_grid, t_src, data[:, 1])
@@ -152,23 +159,14 @@ def clamp_to_limits(ref: RefSample, lim: JointLimits) -> RefSample:
     return RefSample(np.clip(ref.theta_d, lim.theta_min, lim.theta_max), *rates)
 
 
-def save_teach_csv(path, tt: TaughtTrajectory) -> None:
-    """Write a demonstration as CSV with header t,theta,theta_dot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "theta", "theta_dot"])
-        for t, theta, theta_dot in tt.samples:
-            writer.writerow([repr(t), repr(theta), repr(theta_dot)])
-
-
-def read_csv_rows(path, header: Sequence[str], what: str) -> List[Tuple[int, Tuple[float, ...]]]:
-    """(line number, values) of each row of a numeric CSV file with this header.
+def read_csv_rows(path, header: Sequence[str], what: str) -> Tuple[List[int], np.ndarray]:
+    """Line numbers and (n, len(header)) float array of the rows of a numeric CSV file.
 
     Blank lines are skipped. A missing or different header, a row of another
     width and a non-numeric value raise ValueError; the last two name the
     file and line.
     """
-    rows = []
+    lines, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
@@ -182,12 +180,13 @@ def read_csv_rows(path, header: Sequence[str], what: str) -> List[Tuple[int, Tup
             try:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} values, got {len(row)}")
-                rows.append((reader.line_num, tuple(map(float, row))))
+                rows.append(list(map(float, row)))
             except ValueError as ex:
                 raise ValueError(f"{path}: line {reader.line_num}: {ex}") from None
-    return rows
+            lines.append(reader.line_num)
+    return lines, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
 def load_teach_csv(path) -> TaughtTrajectory:
     """Read a t,theta,theta_dot CSV demonstration."""
-    return record_teach(values for _, values in read_csv_rows(path, ("t", "theta", "theta_dot"), "teach"))
+    return record_teach(read_csv_rows(path, ("t", "theta", "theta_dot"), "teach")[1])

@@ -269,6 +269,39 @@ def test_run_rejects_non_object_value(tmp_path, capsys, edit, message):
     assert not (tmp_path / "out").exists()
 
 
+def _edit_joint(*path, **changes):
+    def edit(d):
+        node = d["joints"]["abad"]
+        for key in path:
+            node = node[key]
+        node.update(changes)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(noise_amplitde=0.01), "Scenario: unknown field 'noise_amplitde'"),
+        (_edit_joint(gains={}), "JointConfig: unknown field 'gains'"),
+        (_edit_joint("plant", gamma3=1.0), "SecondOrderTf: unknown field 'gamma3'"),
+        (_edit_joint("reference", Tf=5.0), "QuinticRef: unknown field 'Tf'"),
+        (lambda d: d.update(name=None), "Scenario.name: expected a string, got None"),
+        (lambda d: d.update(name=5), "Scenario.name: expected a string, got 5"),
+        (_set_joint_field("reference", {"kind": "teach", "file": 5}), "TeachRef.file: expected a string, got 5"),
+        (lambda d: d["joints"]["abad"].pop("plant"), "JointConfig.plant: required field missing"),
+        (lambda d: d["joints"]["abad"]["reference"].pop("T"), "QuinticRef.T: required field missing"),
+    ],
+    ids=[
+        "unknown-top", "unknown-joint", "unknown-plant", "unknown-reference",
+        "name-null", "name-int", "file-int", "missing-plant", "missing-T",
+    ],
+)
+def test_run_rejects_malformed_field(tmp_path, capsys, edit, message):
+    err = run_edited_scenario(tmp_path, capsys, edit).err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("top", [[1, 2], "x", 3, None])
 def test_run_rejects_non_object_file(tmp_path, capsys, top):
     path = tmp_path / "scenario.json"

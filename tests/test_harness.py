@@ -296,6 +296,23 @@ def test_csv_loader_rejects_wrong_header(tmp_path):
         load_series_csv(bad)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.065,0.1,0.1,50.0,0.0,7.0", "expected 5 values, got 6"),
+        ("0.065,0.1,0.1", "expected 5 values, got 3"),
+        ("0.065,0.1,abc,50.0,0.0", "could not convert string to float: 'abc'"),
+    ],
+    ids=["six-values", "three-values", "non-numeric"],
+)
+def test_csv_loader_names_file_and_line_of_a_bad_row(tmp_path, row, message):
+    bad = tmp_path / "abad.csv"
+    bad.write_text(f"t,theta_d,theta_meas,u,e\n0.0,0.1,0.1,50.0,0.0\n\n{row}\n")
+    with pytest.raises(ValueError) as info:
+        load_series_csv(bad)
+    assert str(info.value) == f"{bad}: line 4: {message}"
+
+
 def test_plot_is_well_formed_svg(tmp_path):
     r = run_scenario(load_scenario(bundled("reach_q5")))
     path = export_plot(r, tmp_path / "plot.svg")

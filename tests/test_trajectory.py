@@ -13,7 +13,6 @@ from shouldersim import (
     load_teach_csv,
     quintic_eval,
     record_teach,
-    save_teach_csv,
     sine_ref,
 )
 
@@ -163,12 +162,17 @@ def test_differentiate_teach_rejects_demo_shorter_than_one_tick():
 
 
 def test_record_teach_rejects_bad_streams():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 samples, got 0"):
         record_teach([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
         record_teach([(0.0, 0.2, 0.0)])
-    with pytest.raises(ValueError):
-        record_teach([(0.0, 0.2, 0.0), (0.0, 0.3, 0.0)])
+    with pytest.raises(ValueError, match=r"strictly increasing, got 0\.5 then 0\.5$"):
+        record_teach([(0.0, 0.2, 0.0), (0.5, 0.3, 0.0), (0.5, 0.3, 0.0), (0.4, 0.3, 0.0)])
+    with pytest.raises(ValueError, match=r"rows, got shape \(2, 2\)"):
+        record_teach([(0.0, 0.2), (1.0, 0.3)])
+    # finiteness is checked before the count and the timestamps
+    with pytest.raises(ValueError, match=r"teach sample 0 must be finite, got \(0\.0, nan, 0\.0\)"):
+        record_teach([(0.0, float("nan"), 0.0)])
     for bad in (float("nan"), float("inf"), -float("inf")):
         for col in range(3):
             sample = [0.5, 0.6, 0.0]
@@ -283,10 +287,13 @@ def test_full_swing_sine_flattens_in_valleys():
 def test_teach_csv_round_trip(tmp_path):
     tt = record_teach([(0.0, 0.2, 0.0), (0.5, 0.25, 0.11), (1.25, 0.31, 0.02)])
     path = tmp_path / "demo.csv"
-    save_teach_csv(path, tt)
+    path.write_text("t,theta,theta_dot\n" + "".join("%r,%r,%r\n" % tuple(row) for row in tt.samples.tolist()))
     back = load_teach_csv(path)
-    assert back.samples == tt.samples
+    assert back.samples.shape == (3, 3)
+    assert back.samples.tobytes() == tt.samples.tobytes()
     assert back.duration == tt.duration
+    with pytest.raises(ValueError):
+        back.samples[0, 1] = 9.0  # validated once, so read-only
 
 
 
