@@ -42,7 +42,6 @@ from .sysid import (
     DiscreteArx2,
     IoRecord,
     decimate_record,
-    discretize,
     estimate_tf,
     fit_arx2,
     fit_percent,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,20 +95,9 @@ def _cmd_teach(args) -> int:
     if args.out is None:
         print("error: --repeat requires --out", file=sys.stderr)
         return 1
-    scenario = harness.Scenario(
-        joints={
-            "abad": harness.JointConfig(
-                plant=presets.ABAD_PLANT,
-                design=presets.ABAD_DESIGN,
-                limits=presets.ABAD_LIMITS,
-                saturation=presets.DEFAULT_SATURATION,
-                reference=harness.TeachRef(file=str(args.record), smooth=args.smooth),
-            )
-        },
-        dt=DEFAULT_DT,
-        duration=max(taught.duration, DEFAULT_DT),
-        name="teach-repeat",
-    )
+    bundled = harness.load_scenario(presets.scenario_dir() / "teach_repeat.json")
+    abad = replace(bundled.joints["abad"], reference=harness.TeachRef(file=str(args.record), smooth=args.smooth))
+    scenario = replace(bundled, joints={"abad": abad}, duration=max(taught.duration, DEFAULT_DT))
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]

@@ -101,15 +101,24 @@ class ControllerState(NamedTuple):
 
 
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
-    """Expansion of the target polynomial (s^2 + 2*xi*wn*s + wn^2)^2."""
+    """Expansion of the target polynomial (s^2 + 2*xi*wn*s + wn^2)^2.
+
+    Raises ValueError when a coefficient overflows the float range.
+    """
     xi, wn = design.xi, design.wn
-    return np.array([
-        1.0,
-        4.0 * xi * wn,
-        2.0 * wn * wn + 4.0 * xi * xi * wn * wn,
-        4.0 * xi * wn ** 3,
-        wn ** 4,
-    ])
+    try:  # float ** raises OverflowError where float * returns inf
+        h = np.array([
+            1.0,
+            4.0 * xi * wn,
+            2.0 * wn * wn + 4.0 * xi * xi * wn * wn,
+            4.0 * xi * wn ** 3,
+            wn ** 4,
+        ])
+    except OverflowError:
+        h = None
+    if h is None or not np.all(np.isfinite(h)):
+        raise ValueError(f"target polynomial overflows for xi={xi!r}, wn={wn!r}")
+    return h
 
 
 def compute_gains(design: GpiDesign, tf: SecondOrderTf) -> GpiGains:

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -46,6 +47,8 @@ from .trajectory import (
 )
 
 SETTLE_BAND = 0.03
+# Joint names become file names and SVG ids, so they are kept to safe characters.
+_JOINT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,9 @@ class Scenario:
     def __post_init__(self):
         if not self.joints:
             raise ValueError("scenario needs at least one joint")
+        for joint in self.joints:
+            if not _JOINT_NAME.fullmatch(joint):
+                raise ValueError(f"joint name {joint!r} must match {_JOINT_NAME.pattern}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
@@ -222,12 +228,12 @@ def run_scenario(s: Scenario) -> SimResult:
         series[joint] = JointSeries(
             t=t, theta_d=ref.theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - ref.theta_d
         )
-    result = SimResult(scenario=s, series=series, metrics={})
-    result.metrics = compute_metrics(result)
-    return result
+    metrics = {joint: compute_metrics(js) for joint, js in series.items()}
+    return SimResult(scenario=s, series=series, metrics=metrics)
 
 
-def _metrics_of(series: JointSeries) -> Metrics:
+def compute_metrics(series: JointSeries) -> Metrics:
+    """Tracking metrics of one joint's logged series."""
     e = series.e
     n = len(e)
     mse = float(np.mean(e * e))
@@ -247,11 +253,6 @@ def _metrics_of(series: JointSeries) -> Metrics:
     )
 
 
-def compute_metrics(r: SimResult) -> Dict[str, Metrics]:
-    """Per-joint tracking metrics of a finished run."""
-    return {joint: _metrics_of(series) for joint, series in r.series.items()}
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -261,8 +262,7 @@ def _atomic_write(path: Path, text: str) -> None:
     except OSError as ex:
         raise OSError(f"cannot write {path}: {ex}") from ex
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def export_csv(r: SimResult, out_dir) -> List[Path]:
@@ -293,19 +293,9 @@ def load_series_csv(path) -> JointSeries:
 
 def export_plot(r: SimResult, path) -> Path:
     """Render the run as a stacked-panel SVG (one panel per joint)."""
-    panels = [
-        {
-            "name": joint,
-            "t": series.t,
-            "theta_d": series.theta_d,
-            "theta_meas": series.theta_meas,
-            "u": series.u,
-        }
-        for joint, series in r.series.items()
-    ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, plotting.render_svg(panels))
+    _atomic_write(path, plotting.render_svg(r.series))
     return path
 
 

@@ -69,16 +69,15 @@ def _axes(x0, y0, x1, y1, t_lo, t_hi, v_lo, v_hi, ylabel, with_xlabel):
     return parts, fx, fy
 
 
-def render_svg(panels) -> str:
-    """Build the SVG document for a list of panels.
+def render_svg(series) -> str:
+    """Build the SVG document for a {joint name: JointSeries} mapping, one panel per joint.
 
-    Each panel is a mapping with keys name, t, theta_d, theta_meas, u
-    (1-d arrays of equal length).
+    Each panel reads the series' t, theta_d, theta_meas and u arrays.
     """
-    if not panels:
+    if not series:
         raise ValueError("nothing to plot: no panels")
     panel_h = ANGLE_H + GAP + U_H
-    height = MARGIN_TOP + len(panels) * (panel_h + PANEL_GAP)
+    height = MARGIN_TOP + len(series) * (panel_h + PANEL_GAP)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
         f'viewBox="0 0 {WIDTH} {height}" font-family="sans-serif">',
@@ -86,16 +85,11 @@ def render_svg(panels) -> str:
     ]
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     top = MARGIN_TOP
-    for panel in panels:
-        t = np.asarray(panel["t"], dtype=float)
-        theta_d = np.asarray(panel["theta_d"], dtype=float)
-        theta_meas = np.asarray(panel["theta_meas"], dtype=float)
-        u = np.asarray(panel["u"], dtype=float)
+    for name, js in series.items():
+        t, theta_d, theta_meas, u = js.t, js.theta_d, js.theta_meas, js.u
         t_lo, t_hi = _span(t)
-        out.append(f'<g id="panel-{panel["name"]}">')
-        out.append(
-            f'<text x="{x0}" y="{top - 10}" font-size="13" fill="#222222">joint {panel["name"]}</text>'
-        )
+        out.append(f'<g id="panel-{name}">')
+        out.append(f'<text x="{x0}" y="{top - 10}" font-size="13" fill="#222222">joint {name}</text>')
 
         a_lo, a_hi = _span(np.concatenate([theta_d, theta_meas]))
         ay0, ay1 = top, top + ANGLE_H

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import PlantState, SecondOrderTf, step as plant_step
-from .trajectory import read_csv_rows
+from .trajectory import DEFAULT_DT, read_csv_rows
 
 _BIAS_ITERATIONS = 50
 
@@ -31,7 +31,7 @@ class IoRecord:
 
     u: np.ndarray
     theta: np.ndarray
-    ts: float = 0.065
+    ts: float = DEFAULT_DT
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -102,22 +102,6 @@ def fit_arx2(rec: IoRecord) -> DiscreteArx2:
         if converged:
             break
     return DiscreteArx2(a1=float(theta[0]), a2=float(theta[1]), b0=float(theta[2]))
-
-
-def discretize(tf: SecondOrderTf, ts: float) -> DiscreteArx2:
-    """Forward bilinear (Tustin) map of a continuous plant onto the ARX(2,1) form.
-
-    The denominator comes from the exact Tustin substitution; b0 is chosen so
-    that to_continuous inverts the map exactly (same DC gain).
-    """
-    if ts <= 0:
-        raise ValueError(f"ts must be > 0, got {ts!r}")
-    k = 2.0 / ts
-    d0 = k * k + tf.gamma1 * k + tf.gamma2
-    a1 = (-2.0 * k * k + 2.0 * tf.gamma2) / d0
-    a2 = (k * k - tf.gamma1 * k + tf.gamma2) / d0
-    b0 = 4.0 * tf.gamma0 / d0
-    return DiscreteArx2(a1=a1, a2=a2, b0=b0)
 
 
 def to_continuous(d: DiscreteArx2, ts: float) -> SecondOrderTf:
@@ -192,8 +176,6 @@ def decimate_record(rec: IoRecord, m: int) -> IoRecord:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
-    if m == 1:
-        return rec
     n = (len(rec) // m) * m
     if n < 10 * m:
         raise ValueError(f"record too short to decimate by {m}")
@@ -206,19 +188,19 @@ def multisine_profile(n: int, seed: int = 0) -> np.ndarray:
     """Band-limited excitation: slow sinusoids with random phases around 50 PWM-%.
 
     The spectral lines sit at and below typical plant natural frequencies
-    (0.05 to 0.8 rad/s at ts = 0.065 s) so the record carries information
+    (0.05 to 0.8 rad/s at the default tick period) so the record carries information
     where a second-order joint model actually responds.
     """
     rng = np.random.default_rng(seed)
     lines = ((0.05, 12.0), (0.11, 10.0), (0.23, 9.0), (0.44, 7.0), (0.8, 5.0))
-    t = np.arange(n) * 0.065
+    t = np.arange(n) * DEFAULT_DT
     u = np.full(n, 50.0)
     for w, amp in lines:
         u = u + amp * np.sin(w * t + rng.uniform(0.0, 2.0 * np.pi))
     return np.clip(u, 0.0, 100.0)
 
 
-def load_io_csv(path, ts: float = 0.065) -> IoRecord:
+def load_io_csv(path, ts: float = DEFAULT_DT) -> IoRecord:
     """Read a t,u,theta CSV into an IoRecord sampled at ts.
 
     Every step of the t column must equal ts to within 1e-6 * ts.

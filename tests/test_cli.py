@@ -335,6 +335,31 @@ def test_run_rejects_overflowing_reference(tmp_path, capsys, reference):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("joint", ["../escaped", "a/b", "a<b", 'x"y', "", "."])
+def test_run_rejects_unsafe_joint_name(tmp_path, capsys, joint):
+    # joint names become file names and SVG markup: one that could leave
+    # --out or break the XML is rejected before anything is written
+    def rename(d):
+        d["joints"][joint] = d["joints"].pop("abad")
+
+    err = run_edited_scenario(tmp_path, capsys, rename).err
+    assert err == f"error: joint name {joint!r} must match [A-Za-z0-9_-]+\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
+
+
+@pytest.mark.parametrize("xi, wn", [(0.9, 1e80), (1e200, 1e200), (1e300, 1e10)])
+def test_gains_rejects_overflowing_design(capsys, xi, wn):
+    argv = ["gains", "--xi", str(xi), "--wn", str(wn), "--g0", "0.0005725", "--g1", "0.05725", "--g2", "0.044"]
+    err = one_line_error(capsys, argv).err
+    assert err == f"error: target polynomial overflows for xi={xi!r}, wn={wn!r}\n"
+
+
+def test_run_rejects_overflowing_design(tmp_path, capsys):
+    err = run_edited_scenario(tmp_path, capsys, _edit_joint("design", wn=1e80)).err
+    assert err == "error: joint abad: target polynomial overflows for xi=0.9, wn=1e+80\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("repeat", [False, True])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_teach_rejects_non_finite_samples(tmp_path, capsys, bad, repeat):

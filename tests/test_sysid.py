@@ -7,7 +7,6 @@ from shouldersim import (
     IoRecord,
     SecondOrderTf,
     decimate_record,
-    discretize,
     estimate_tf,
     fit_arx2,
     fit_percent,
@@ -37,6 +36,21 @@ def max_rel_gamma_error(est, truth):
         abs(est.gamma1 - truth.gamma1) / truth.gamma1,
         abs(est.gamma2 - truth.gamma2) / truth.gamma2,
     )
+
+
+def discretize(tf: SecondOrderTf, ts: float) -> DiscreteArx2:
+    """Forward bilinear (Tustin) map of a continuous plant onto the ARX(2,1) form.
+
+    The oracle of to_continuous: the denominator comes from the exact Tustin
+    substitution, and b0 is chosen so that to_continuous inverts the map
+    exactly (same DC gain).
+    """
+    k = 2.0 / ts
+    d0 = k * k + tf.gamma1 * k + tf.gamma2
+    a1 = (-2.0 * k * k + 2.0 * tf.gamma2) / d0
+    a2 = (k * k - tf.gamma1 * k + tf.gamma2) / d0
+    b0 = 4.0 * tf.gamma0 / d0
+    return DiscreteArx2(a1=a1, a2=a2, b0=b0)
 
 
 def test_record_validation():
