@@ -254,15 +254,25 @@ def compute_metrics(series: JointSeries) -> Metrics:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
+    """Write text to a temp file of this call's own next to path, then rename it over path.
+
+    The temp name is random and created with O_EXCL, so concurrent writers of
+    one path never share it and a reader sees one writer's whole file. The
+    file mode comes from the umask, as with open(). The temp file is removed
+    only if this write fails.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as ex:
         raise OSError(f"cannot write {path}: {ex}") from ex
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def export_csv(r: SimResult, out_dir) -> List[Path]:
@@ -277,10 +287,11 @@ def export_csv(r: SimResult, out_dir) -> List[Path]:
     row_format = ",".join(["%r"] * len(_SERIES_HEADER)) + "\n"
     written = []
     for joint, series in r.series.items():
-        columns = (getattr(series, name).tolist() for name in _SERIES_HEADER)
-        rows = (row_format % row for row in zip(*columns))
+        # One %-format over the row-major (n, 5) table keeps the per-row work in C.
+        table = np.column_stack([getattr(series, name) for name in _SERIES_HEADER])
+        body = (row_format * len(table)) % tuple(table.ravel().tolist())
         path = out_dir / f"{joint}.csv"
-        _atomic_write(path, "".join([",".join(_SERIES_HEADER) + "\n", *rows]))
+        _atomic_write(path, ",".join(_SERIES_HEADER) + "\n" + body)
         written.append(path)
     return written
 

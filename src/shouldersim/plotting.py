@@ -40,7 +40,10 @@ def _xform(lo, hi, out_lo, out_hi):
 
 
 def _polyline(xs, ys, color, width=1.3, dash=None):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    # One %-format over the interleaved coordinates keeps the per-point work
+    # in C; "%.2f" % float prints what f"{np.float64:.2f}" prints.
+    xy = np.column_stack((xs, ys)).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{extra} points="{pts}"/>'
 
@@ -95,8 +98,9 @@ def render_svg(series) -> str:
         ay0, ay1 = top, top + ANGLE_H
         parts, fx, fy = _axes(x0, ay0, x1, ay1, t_lo, t_hi, a_lo, a_hi, "angle (rad)", False)
         out.extend(parts)
-        out.append(_polyline(fx(t), fy(theta_d), COLOR_REF, dash="6,4"))
-        out.append(_polyline(fx(t), fy(theta_meas), COLOR_MEAS))
+        xs = fx(t)  # both strips share the time axis
+        out.append(_polyline(xs, fy(theta_d), COLOR_REF, dash="6,4"))
+        out.append(_polyline(xs, fy(theta_meas), COLOR_MEAS))
         out.append(
             f'<text x="{x1 - 150}" y="{ay0 + 16}" font-size="10" fill="{COLOR_REF}">desired</text>'
             f'<text x="{x1 - 90}" y="{ay0 + 16}" font-size="10" fill="{COLOR_MEAS}">measured</text>'
@@ -106,7 +110,7 @@ def render_svg(series) -> str:
         uy0, uy1 = ay1 + GAP, ay1 + GAP + U_H
         parts, fx, fy = _axes(x0, uy0, x1, uy1, t_lo, t_hi, u_lo, u_hi, "u (PWM-%)", True)
         out.extend(parts)
-        out.append(_polyline(fx(t), fy(u), COLOR_U))
+        out.append(_polyline(xs, fy(u), COLOR_U))
         out.append(
             f'<text x="{(x0 + x1) / 2}" y="{uy1 + 28}" text-anchor="middle" font-size="11" '
             f'fill="{COLOR_AXIS}">t (s)</text>'

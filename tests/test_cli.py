@@ -94,6 +94,36 @@ def test_run_produces_artifacts(tmp_path, capsys):
         assert set(joint) == {"mse", "rmse", "max_abs_error", "steady_state_error", "settle_time"}
 
 
+def test_run_leaves_a_foreign_tmp_file_alone(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    foreign = out / "abad.csv.tmp"
+    foreign.write_text("another writer's data\n")
+    rc = main(["run", "--scenario", str(SCENARIOS / "reach_q1.json"), "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    assert foreign.read_text() == "another writer's data\n"
+    assert sorted(p.name for p in out.iterdir()) == ["abad.csv", "abad.csv.tmp", "fe.csv", "metrics.json", "plot.svg"]
+
+
+def test_run_outputs_get_the_mode_that_open_gives(tmp_path, capsys):
+    """Outputs are created like open() creates files (mode from the umask), not 0600."""
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    rc = main(["run", "--scenario", str(SCENARIOS / "reach_q1.json"), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 0
+    for path in (tmp_path / "out").iterdir():
+        assert path.stat().st_mode == probe.stat().st_mode, path.name
+
+
+def test_run_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    (tmp_path / "plot.svg").mkdir()
+    err = one_line_error(capsys, ["run", "--scenario", str(SCENARIOS / "reach_q1.json"), "--out", str(tmp_path)]).err
+    assert f"cannot write {tmp_path / 'plot.svg'}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abad.csv", "fe.csv", "plot.svg"]
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     err = capsys.readouterr().err

@@ -1,10 +1,12 @@
 import json
 import math
+import threading
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shouldersim import (
     DisturbanceSpec,
@@ -31,8 +33,10 @@ from shouldersim import (
     run_scenario,
     save_scenario,
 )
+from shouldersim import harness
 from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict
 from shouldersim.plotting import render_svg
+from shouldersim.trajectory import DEFAULT_DT, quintic_eval
 
 
 def default_scenario(reference, joint="abad", duration=10.0, disturbance=None, **kwargs):
@@ -209,7 +213,7 @@ def test_disturbance_rejection_end_to_end():
     assert np.max(np.abs(se.e[se.t >= 21.0])) < 0.01
 
 
-def _unclamped_quintic_series(theta0, thetaf, T):
+def _unclamped_quintic_series(theta0, thetaf, T, duration=None):
     """Both preset joints tracking one quintic, with limits and saturation out of reach."""
     joints = {
         joint: JointConfig(
@@ -224,7 +228,7 @@ def _unclamped_quintic_series(theta0, thetaf, T):
             ("fe", presets.FE_PLANT, presets.FE_DESIGN),
         )
     }
-    return run_scenario(Scenario(joints=joints, duration=T + 2.0)).series
+    return run_scenario(Scenario(joints=joints, duration=T + 2.0 if duration is None else duration)).series
 
 
 _ANGLE = st.floats(-2.0, 2.0)
@@ -249,6 +253,46 @@ def test_unsaturated_loop_superposes(a, b, T):
             got = getattr(s, name)
             want = getattr(sa[joint], name) + getattr(sb[joint], name)
             assert np.max(np.abs(got - want)) <= 1e-8 * (1.0 + np.max(np.abs(got))), (joint, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.tuples(_ANGLE, _ANGLE), T=st.floats(0.5, 20.0), k=st.integers(0, 40))
+@example(a=(0.0, 1.5), T=3.0, k=40)
+def test_unsaturated_loop_is_time_shift_invariant(a, T, k):
+    """Delaying the quintic by k ticks delays the unclamped closed loop by k ticks,
+    up to the start-up transient of holding theta0.
+
+    The per-tick loop is driven on quintic_eval(theta0, thetaf, T, (i - k) dt),
+    which holds theta0 for the first k ticks. The loop is linear and time
+    invariant, but resting on theta0 != 0 is not an equilibrium of it:
+    theta_int integrates the hold command gamma2*theta0/gamma0, and the k3
+    term turns that into a transient of about 1.2e-3 rad per rad of theta0
+    on abad (4.6e-4 on fe) that has died out after 60 s. By superposition
+    the delayed run minus the undelayed one is therefore the hold run
+    (constant reference theta0) minus itself delayed; for theta0 = 0 the
+    hold run is zero and the runs are plain shifts of each other. Same
+    settings and bound as the superposition test.
+    """
+    theta0, thetaf = a
+    base = _unclamped_quintic_series(theta0, thetaf, T)
+    hold = _unclamped_quintic_series(theta0, theta0, T, duration=T + 2.0 + (k + 1) * DEFAULT_DT)
+
+    def delayed(ref, dt, n_ticks):
+        return quintic_eval(ref.theta0, ref.thetaf, ref.T, (np.arange(n_ticks) - k) * dt)
+
+    with mock.patch.object(harness, "build_reference", delayed):
+        shifted = _unclamped_quintic_series(theta0, thetaf, T, duration=T + 2.0 + (k + 1) * DEFAULT_DT)
+    n = len(base["abad"].t)
+    for joint, s in base.items():
+        for name in ("theta_meas", "u"):
+            want = getattr(s, name)
+            got = getattr(shifted[joint], name)[k : k + n]
+            h = getattr(hold[joint], name)
+            assert len(got) == n
+            if theta0 == 0.0:
+                assert not np.any(h)
+            d = (got - want) - (h[k : k + n] - h[:n])
+            assert np.max(np.abs(d)) <= 1e-8 * (1.0 + np.max(np.abs(want))), (joint, name, k)
 
 
 def test_metrics_zero_error():
@@ -329,6 +373,44 @@ def test_csv_export_of_empty_series_is_header_only(tmp_path):
     result = SimResult(scenario=None, series={"abad": empty}, metrics={})
     (path,) = export_csv(result, tmp_path)
     assert path.read_text() == "t,theta_d,theta_meas,u,e\n"
+
+
+def test_concurrent_exports_to_one_path_publish_whole_files(tmp_path):
+    """Writers that export to the same path at once each succeed, and the file
+    is always one writer's whole text; no temp file is left behind.
+
+    Each writer has a temp file of its own. With one shared temp name a writer
+    truncated another's temp file, published a file still being written, and
+    removed the other's temp file under it ("cannot write").
+    """
+    n = 4000
+    results = [
+        SimResult(scenario=None, series={"abad": JointSeries(*np.full((5, n), float(w)))}, metrics={})
+        for w in range(4)
+    ]
+    header = "t,theta_d,theta_meas,u,e\n"
+    whole = {header + f"{w}.0,{w}.0,{w}.0,{w}.0,{w}.0\n" * n for w in range(4)}
+    errors, torn = [], []
+
+    def writer(result):
+        for _ in range(25):
+            try:
+                (path,) = export_csv(result, tmp_path)
+                text = path.read_text()
+            except OSError as ex:
+                errors.append(str(ex))
+                continue
+            if text not in whole:
+                torn.append(len(text))
+
+    threads = [threading.Thread(target=writer, args=(r,)) for r in results]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and torn == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abad.csv"]
 
 
 def test_csv_loader_rejects_wrong_header(tmp_path):
