@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,7 +77,10 @@ class SaturationLimits:
             raise ValueError(f"u_min must be < u_max, got [{self.u_min!r}, {self.u_max!r}]")
 
     def clamp(self, u: float) -> float:
-        return min(max(u, self.u_min), self.u_max)
+        # The value of min(max(u, u_min), u_max) for every float, NaN and
+        # -0.0 included, without the two builtin calls.
+        lo, hi = self.u_min, self.u_max
+        return lo if u < lo else (hi if u > hi else u)
 
 
 class ControllerState(NamedTuple):
@@ -98,6 +102,11 @@ class ControllerState(NamedTuple):
     theta_dot0: float = 0.0
     u_prev: Optional[float] = None
     e_prev: Optional[float] = None
+
+
+# _new_tuple(ControllerState, fields) builds the object ControllerState(*fields)
+# without the Python-level namedtuple __new__; control_step makes one per tick.
+_new_tuple = tuple.__new__
 
 
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
@@ -181,9 +190,10 @@ def control_step(
     integration anti-windup) while theta_int keeps integrating the actually
     applied, clamped input.
     """
-    if not math.isfinite(theta_meas):
+    # Chained comparisons are math.isfinite on every float: NaN fails both.
+    if not -inf < theta_meas < inf:
         raise ValueError("non-finite measurement rejected")
-    if dt <= 0.0 or not math.isfinite(dt):
+    if not 0.0 < dt < inf:
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
     int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
@@ -213,4 +223,4 @@ def control_step(
         int_e = int_e_prev
         dint_e = dint_e_prev
     theta_int = theta_int_prev + 0.5 * h * (u_prev + u)
-    return u, ControllerState(int_e, dint_e, theta_int, e0, theta_dot0, u, e)
+    return u, _new_tuple(ControllerState, (int_e, dint_e, theta_int, e0, theta_dot0, u, e))

@@ -193,7 +193,11 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
 
 
 def run_scenario(s: Scenario) -> SimResult:
-    """Simulate every joint loop of a scenario. Deterministic given the seed."""
+    """Simulate every joint loop of a scenario. Deterministic given the seed.
+
+    A ValueError raised on some tick (a diverging plant, say) is re-raised
+    with the joint, the tick and its time in front of the message.
+    """
     n = s.n_samples
     t = np.arange(n) * s.dt
     series: Dict[str, JointSeries] = {}
@@ -217,13 +221,16 @@ def run_scenario(s: Scenario) -> SimResult:
         state = PlantState(theta=float(ref.theta_d[0]), theta_dot=0.0)
         cs = ControllerState(theta_dot0=float(ref.theta_dot_d[0]))
         ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
-        for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
-            meas = state.theta + noise_i
-            u, cs = control_step(cs, gains, cfg.plant, meas, ref_i, s.dt, cfg.saturation)
-            theta_meas[i] = meas
-            u_log[i] = u
-            if i < n - 1:
-                state = plant_step(state, cfg.plant, u, rho_i, s.dt)
+        try:
+            for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
+                meas = state.theta + noise_i
+                u, cs = control_step(cs, gains, cfg.plant, meas, ref_i, s.dt, cfg.saturation)
+                theta_meas[i] = meas
+                u_log[i] = u
+                if i < n - 1:
+                    state = plant_step(state, cfg.plant, u, rho_i, s.dt)
+        except ValueError as ex:
+            raise ValueError(f"joint {joint}: tick {i} (t = {t[i]:g} s): {ex}") from ex
 
         series[joint] = JointSeries(
             t=t, theta_d=ref.theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - ref.theta_d

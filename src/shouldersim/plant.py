@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple
 
 
@@ -56,6 +57,11 @@ class PlantState(NamedTuple):
     theta_dot: float
 
 
+# _new_tuple(PlantState, fields) builds the object PlantState(*fields)
+# without the Python-level namedtuple __new__; step makes one per tick.
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Constant input disturbance of `magnitude` PWM-% switched on at t = onset."""
@@ -79,9 +85,10 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
     Raises ValueError for non-finite input, for non-positive dt and for a
     successor state that is not finite.
     """
-    if dt <= 0.0 or not math.isfinite(dt):
+    # Chained comparisons are math.isfinite on every float: NaN fails both.
+    if not 0.0 < dt < inf:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    if not (math.isfinite(u) and math.isfinite(rho)):
+    if not (-inf < u < inf and -inf < rho < inf):
         raise ValueError("non-finite input rejected")
 
     g0, g1, g2 = tf.gamma0, tf.gamma1, tf.gamma2
@@ -96,11 +103,12 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
     v4 = td + dt * a3
     a4 = force - g1 * v4 - g2 * (th + dt * v3)
 
-    theta = th + dt / 6.0 * (td + 2.0 * v2 + 2.0 * v3 + v4)
-    theta_dot = td + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    if not (math.isfinite(theta) and math.isfinite(theta_dot)):
+    sixth = dt / 6.0
+    theta = th + sixth * (td + 2.0 * v2 + 2.0 * v3 + v4)
+    theta_dot = td + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    if not (-inf < theta < inf and -inf < theta_dot < inf):
         raise ValueError(f"plant state must be finite, got theta={theta!r}, theta_dot={theta_dot!r}")
-    return PlantState(theta, theta_dot)
+    return _new_tuple(PlantState, (theta, theta_dot))
 
 
 def dc_gain(tf: SecondOrderTf) -> float:

@@ -390,6 +390,20 @@ def test_run_rejects_overflowing_design(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_names_the_joint_and_tick_where_the_plant_diverges(tmp_path, capsys):
+    # dt = 1 s with gamma2 = 100 puts the RK4 step outside its stability region
+    def diverge(d):
+        d.update(dt=1.0, duration=2000)
+        d["joints"]["fe"]["plant"]["gamma2"] = 100
+
+    err = run_edited_scenario(tmp_path, capsys, diverge).err
+    assert err == (
+        "error: joint fe: tick 118 (t = 118 s): "
+        "plant state must be finite, got theta=nan, theta_dot=nan\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("repeat", [False, True])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_teach_rejects_non_finite_samples(tmp_path, capsys, bad, repeat):

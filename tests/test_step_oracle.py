@@ -6,8 +6,16 @@ OracleControllerState/oracle_control_step (with the attribute-access
 feedforward) and OraclePlantState/oracle_step. Whole closed-loop runs over
 random designs, plants, saturation bounds, references, noise, rho and dt
 must give the same u, measured angle, final states and errors.
+
+The oracle clamps with min(max(...)) and guards with math.isfinite, as the
+originals did; SaturationLimits.clamp and the per-tick guards use plain
+comparisons instead, and the properties at the end hold them to those
+originals on every float: NaN of either sign, +-inf, +-0.0, subnormals
+and +-max.
 """
 import math
+import struct
+import sys
 from dataclasses import astuple, dataclass, is_dataclass, replace
 from typing import Optional
 
@@ -81,7 +89,7 @@ def oracle_control_step(cs, gains, tf, theta_meas, ref, dt, sat):
     )
     u_raw = explicit / (1.0 + 0.5 * k3 * h)
 
-    u = sat.clamp(u_raw)
+    u = min(max(u_raw, sat.u_min), sat.u_max)
     if u != u_raw:
         int_e = cs.int_e
         dint_e = cs.dint_e
@@ -225,3 +233,73 @@ def test_simulate_record_equals_the_oracle_loop(g, u, theta0, ts):
         want.append(state.theta)
     got = simulate_record(tf, IoRecord(u=np.array(u), theta=theta, ts=ts))
     assert got.tobytes() == np.array(want).tobytes()
+
+
+SPECIAL_FLOATS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.min, -sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+]
+any_float = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+finite_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [x for x in SPECIAL_FLOATS if math.isfinite(x)]
+)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def raised(call):
+    try:
+        call()
+    except ValueError as ex:
+        return str(ex)
+    return None
+
+
+@settings(max_examples=500)
+@given(bounds=st.lists(finite_float, min_size=2, max_size=2, unique=True), u=any_float)
+@example(bounds=[-0.0, 1.0], u=0.0)  # +0.0 is not below a -0.0 bound: it passes through
+@example(bounds=[0.0, 1.0], u=-0.0)  # and -0.0 not below a +0.0 bound
+@example(bounds=[-1.0, -0.0], u=0.0)  # nor +0.0 above a -0.0 bound
+def test_clamp_equals_min_of_max_bit_for_bit(bounds, u):
+    lo, hi = sorted(bounds)
+    got = SaturationLimits(lo, hi).clamp(u)
+    assert bits(got) == bits(min(max(u, lo), hi))
+
+
+TF = SecondOrderTf(0.0005725, 0.05725, 0.044)
+GAINS = compute_gains(GpiDesign(0.9, 6.1), TF)
+SAT = SaturationLimits(0.0, 100.0)
+
+
+@settings(max_examples=300)
+@given(theta_meas=any_float, dt=any_float, first_tick=st.booleans())
+def test_control_step_guards_raise_where_isfinite_rejects(theta_meas, dt, first_tick):
+    if not math.isfinite(theta_meas):
+        want = "non-finite measurement rejected"
+    elif dt <= 0.0 or not math.isfinite(dt):
+        want = f"dt must be > 0, got {dt!r}"
+    else:
+        want = None
+    cs = ControllerState() if first_tick else ControllerState(0.1, 0.01, 2.0, 0.0, 0.0, 50.0, 0.0)
+    ref = (0.3, 0.01, 0.0)
+    assert raised(lambda: control_step(cs, GAINS, TF, theta_meas, ref, dt, SAT)) == want
+
+
+@settings(max_examples=300)
+@given(u=any_float, rho=any_float, dt=any_float)
+def test_step_guards_raise_where_isfinite_rejects(u, rho, dt):
+    state = PlantState(0.3, -0.02)
+    if dt <= 0.0 or not math.isfinite(dt):
+        want = f"dt must be > 0, got {dt!r}"
+    elif not (math.isfinite(u) and math.isfinite(rho)):
+        want = "non-finite input rejected"
+    else:
+        want = raised(lambda: oracle_step(OraclePlantState(*state), TF, u, rho, dt))
+    got = raised(lambda: step(state, TF, u, rho, dt))
+    if want is not None and want.startswith("theta"):
+        # the oracle's state check words its message per field
+        assert got.startswith("plant state must be finite, got theta=")
+    else:
+        assert got == want
