@@ -104,11 +104,6 @@ class ControllerState(NamedTuple):
     e_prev: Optional[float] = None
 
 
-# _new_tuple(ControllerState, fields) builds the object ControllerState(*fields)
-# without the Python-level namedtuple __new__; control_step makes one per tick.
-_new_tuple = tuple.__new__
-
-
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
     """Expansion of the target polynomial (s^2 + 2*xi*wn*s + wn^2)^2.
 
@@ -181,6 +176,9 @@ def control_step(
 ):
     """One tick of the discrete GPI law. Returns (u, successor state).
 
+    cs is any tuple in ControllerState's field order, and the successor is
+    a plain tuple in that order.
+
     ref is any (theta_d, theta_dot_d, theta_ddot_d) triple of floats. All
     integrals advance by the trapezoidal rule over the interval h since the
     previous tick. The first tick has no preceding interval: it is the
@@ -223,4 +221,4 @@ def control_step(
         int_e = int_e_prev
         dint_e = dint_e_prev
     theta_int = theta_int_prev + 0.5 * h * (u_prev + u)
-    return u, _new_tuple(ControllerState, (int_e, dint_e, theta_int, e0, theta_dot0, u, e))
+    return u, (int_e, dint_e, theta_int, e0, theta_dot0, u, e)

@@ -196,10 +196,16 @@ def run_scenario(s: Scenario) -> SimResult:
     """Simulate every joint loop of a scenario. Deterministic given the seed.
 
     A ValueError raised on some tick (a diverging plant, say) is re-raised
-    with the joint, the tick and its time in front of the message.
+    with the joint, the tick and its time in front of the message. A run
+    too long to allocate raises ValueError naming its samples per joint.
     """
-    n = s.n_samples
-    t = np.arange(n) * s.dt
+    try:
+        n = s.n_samples
+        t = np.arange(n) * s.dt
+    except (OverflowError, MemoryError, ValueError) as ex:  # numpy: "Maximum allowed size exceeded"
+        raise ValueError(
+            f"{s.duration / s.dt:.3g} samples per joint (duration / dt) are too many to allocate"
+        ) from ex
     series: Dict[str, JointSeries] = {}
     for idx, (joint, cfg) in enumerate(s.joints.items()):
         try:
@@ -223,7 +229,7 @@ def run_scenario(s: Scenario) -> SimResult:
         ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
         try:
             for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
-                meas = state.theta + noise_i
+                meas = state[0] + noise_i
                 u, cs = control_step(cs, gains, cfg.plant, meas, ref_i, s.dt, cfg.saturation)
                 theta_meas[i] = meas
                 u_log[i] = u

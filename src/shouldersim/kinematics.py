@@ -54,6 +54,9 @@ class ArmLength:
 
 
 DEFAULT_ARM = ArmLength()
+# How far (m) a wrist position may lie off the sphere of radius l_a: a position
+# typed to 4 decimals in metres is within sqrt(3)*5e-5 m of its true value.
+_REACH_TOL = 1e-4
 
 
 def forward(q: ShoulderAngles, arm: ArmLength = DEFAULT_ARM) -> WristPosition:
@@ -66,16 +69,21 @@ def forward(q: ShoulderAngles, arm: ArmLength = DEFAULT_ARM) -> WristPosition:
 def inverse(p: WristPosition, arm: ArmLength = DEFAULT_ARM) -> ShoulderAngles:
     """Recover shoulder angles from a wrist position.
 
-    theta_s1 = atan2(y, x) and theta_s2 = asin(-z/l_a). Raises
-    ValueError("unreachable") when |z| exceeds the arm length and
-    ValueError("singular (gimbal) configuration") when x = y = 0, where
-    theta_s1 is undefined.
+    theta_s1 = atan2(y, x) and theta_s2 = asin(-z/l_a), with -z/l_a clipped
+    to [-1, 1]. Raises ValueError("unreachable: ...") when |p| is more than
+    1e-4 m away from the arm length and ValueError("singular (gimbal)
+    configuration") when x = y = 0, where theta_s1 is undefined.
     """
-    if abs(p.z) > arm.l_a:
-        raise ValueError("unreachable")
+    radius = math.hypot(p.x, p.y, p.z)
+    if abs(radius - arm.l_a) > _REACH_TOL:
+        raise ValueError(
+            f"unreachable: |p| = {radius:.6g} m, but the wrist lies on the sphere "
+            f"of radius l_a = {arm.l_a:g} m (tolerance {_REACH_TOL:g} m)"
+        )
     if p.x == 0.0 and p.y == 0.0:
         raise ValueError("singular (gimbal) configuration")
-    return ShoulderAngles(theta_s1=math.atan2(p.y, p.x), theta_s2=math.asin(-p.z / arm.l_a))
+    sin_s2 = max(-1.0, min(1.0, -p.z / arm.l_a))
+    return ShoulderAngles(theta_s1=math.atan2(p.y, p.x), theta_s2=math.asin(sin_s2))
 
 
 def in_workspace(q: ShoulderAngles, lim_s1: JointLimits, lim_s2: JointLimits) -> bool:

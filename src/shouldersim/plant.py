@@ -57,11 +57,6 @@ class PlantState(NamedTuple):
     theta_dot: float
 
 
-# _new_tuple(PlantState, fields) builds the object PlantState(*fields)
-# without the Python-level namedtuple __new__; step makes one per tick.
-_new_tuple = tuple.__new__
-
-
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Constant input disturbance of `magnitude` PWM-% switched on at t = onset."""
@@ -76,8 +71,11 @@ class DisturbanceSpec:
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
 
 
-def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) -> PlantState:
+def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) -> tuple:
     """Advance the plant ODE by one fixed RK4 step with zero-order-hold input.
+
+    state is any (theta, theta_dot) pair; the successor is a plain tuple in
+    PlantState's field order.
 
     The caller is responsible for saturating u beforehand; u and rho are held
     constant over the step. Stage i evaluates the derivative (v_i, a_i) at
@@ -108,7 +106,7 @@ def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) 
     theta_dot = td + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     if not (-inf < theta < inf and -inf < theta_dot < inf):
         raise ValueError(f"plant state must be finite, got theta={theta!r}, theta_dot={theta_dot!r}")
-    return _new_tuple(PlantState, (theta, theta_dot))
+    return theta, theta_dot
 
 
 def dc_gain(tf: SecondOrderTf) -> float:

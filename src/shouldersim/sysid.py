@@ -148,7 +148,7 @@ def simulate_record(tf: SecondOrderTf, rec: IoRecord) -> np.ndarray:
     out[0] = state.theta
     for k, u in enumerate(rec.u[:-1].tolist(), 1):
         state = plant_step(state, tf, u, 0.0, rec.ts)
-        out[k] = state.theta
+        out[k] = state[0]
     return out
 
 

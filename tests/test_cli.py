@@ -81,6 +81,15 @@ def test_ik_unreachable_point(capsys):
     assert "unreachable" in err
 
 
+def test_ik_rejects_a_point_off_the_arm_sphere(capsys):
+    # the wrist of theta_s1 = theta_s2 = 0 is (0.14, 0, 0), 9.86 m from (10, 0, 0)
+    err = one_line_error(capsys, ["ik", "--x", "10", "--y", "0", "--z", "0"]).err
+    assert err.startswith("error: unreachable: |p| = 10 m, but the wrist lies on the sphere")
+    # the README example is typed to 4 decimals, 4.4e-5 m off the sphere
+    assert main(["ik", "--x", "0.1008", "--y", "0.0846", "--z", "-0.0479"]) == 0
+    assert printed_value(capsys.readouterr().out, "theta_s1") == pytest.approx(0.698241, abs=1e-6)
+
+
 def test_run_produces_artifacts(tmp_path, capsys):
     rc = main(["run", "--scenario", str(SCENARIOS / "reach_q1.json"), "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -274,6 +283,24 @@ def run_edited_scenario(tmp_path, capsys, edit, name="reach_q1"):
 def test_run_rejects_bad_seed(tmp_path, capsys, seed, message):
     err = run_edited_scenario(tmp_path, capsys, lambda d: d.update(seed=seed)).err
     assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+# Only sizes that numpy refuses at once (PiB and beyond) are tried, so nothing
+# is really allocated.
+@pytest.mark.parametrize(
+    "changes, samples",
+    [
+        ({"duration": 1e15}, "1.54e+16"),
+        ({"duration": 1e300}, "1.54e+301"),
+        ({"dt": 1e-300}, "1e+301"),
+        ({"duration": 1e300, "dt": 1e-300}, "inf"),
+    ],
+    ids=["PiB", "duration-1e300", "dt-1e-300", "ratio-overflows"],
+)
+def test_run_too_long_to_allocate_is_one_error_line(tmp_path, capsys, changes, samples):
+    err = run_edited_scenario(tmp_path, capsys, lambda d: d.update(changes)).err
+    assert err == f"error: {samples} samples per joint (duration / dt) are too many to allocate\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -34,8 +34,8 @@ def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=
     u_log = np.empty(n)
     for i in range(n):
         ref = quintic_eval(theta0, thetaf, T, i * dt)
-        u, cs = control_step(cs, gains, tf, state.theta, ref, dt, sat)
-        e_log[i] = state.theta - ref.theta_d
+        u, cs = control_step(cs, gains, tf, state[0], ref, dt, sat)
+        e_log[i] = state[0] - ref.theta_d
         u_log[i] = u
         if i < n - 1:
             r = rho if rho_onset is not None and i * dt >= rho_onset else 0.0
@@ -168,12 +168,14 @@ def test_trapezoidal_integrals_exact():
     cs = ControllerState(e0=0.0)
     for _ in range(n + 1):
         _, cs = control_step(cs, gains, tf, 2.0, ref, dt, WIDE)
+    cs = ControllerState._make(cs)
     assert cs.int_e == 2.0 * n * dt
     assert cs.dint_e == 2.0 * (n * dt) ** 2 / 2.0
 
     cs = ControllerState(e0=0.0)
     for i in range(n + 1):
         _, cs = control_step(cs, gains, tf, i * dt, ref, dt, WIDE)
+    cs = ControllerState._make(cs)
     assert cs.int_e == (n * dt) ** 2 / 2.0
 
 
@@ -181,10 +183,10 @@ def test_first_tick_captures_initial_error():
     gains = compute_gains(S1_DESIGN, G1)
     ref = RefSample(0.5, 0.0, 0.0)
     cs = ControllerState()
-    _, nxt = control_step(cs, gains, G1, 0.41, ref, 0.065, WIDE)
+    nxt = ControllerState._make(control_step(cs, gains, G1, 0.41, ref, 0.065, WIDE)[1])
     assert nxt.e0 == pytest.approx(-0.09)
     # the captured offset persists
-    _, nxt2 = control_step(nxt, gains, G1, 0.5, ref, 0.065, WIDE)
+    nxt2 = ControllerState._make(control_step(nxt, gains, G1, 0.5, ref, 0.065, WIDE)[1])
     assert nxt2.e0 == nxt.e0
 
 
@@ -212,11 +214,11 @@ def test_anti_windup_freezes_error_integrals():
     gains = compute_gains(S1_DESIGN, G1)
     sat = SaturationLimits(0.0, 100.0)
     ref = RefSample(0.5, 0.0, 0.0)
-    cs = ControllerState()
-    _, cs = control_step(cs, gains, G1, 0.5, ref, 0.065, sat)
+    cs = ControllerState._make(control_step(ControllerState(), gains, G1, 0.5, ref, 0.065, sat)[1])
 
     # a large positive error drives u_raw far below u_min: clamped tick
     u, nxt = control_step(cs, gains, G1, 1.5, ref, 0.065, sat)
+    nxt = ControllerState._make(nxt)
     assert u == 0.0
     assert nxt.int_e == cs.int_e
     assert nxt.dint_e == cs.dint_e
@@ -224,9 +226,8 @@ def test_anti_windup_freezes_error_integrals():
     assert nxt.theta_int == cs.theta_int + 0.5 * 0.065 * (cs.u_prev + u)
 
     # an unsaturated tick advances the error integrals by the trapezoid rule
-    cs = ControllerState()
-    _, cs = control_step(cs, gains, G1, 0.5, ref, 0.065, WIDE)
-    _, nxt = control_step(cs, gains, G1, 0.5005, ref, 0.065, WIDE)
+    cs = ControllerState._make(control_step(ControllerState(), gains, G1, 0.5, ref, 0.065, WIDE)[1])
+    nxt = ControllerState._make(control_step(cs, gains, G1, 0.5005, ref, 0.065, WIDE)[1])
     assert nxt.int_e == pytest.approx(cs.int_e + 0.5 * 0.065 * (0.0 + 0.0005))
 
 

@@ -33,7 +33,7 @@ from shouldersim import (
     run_scenario,
     save_scenario,
 )
-from shouldersim import harness
+from shouldersim import harness, sysid
 from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict
 from shouldersim.plotting import render_svg
 from shouldersim.trajectory import DEFAULT_DT, quintic_eval
@@ -134,6 +134,36 @@ def test_run_quintic_reach_tracks():
     assert abs(r.series["abad"].e[-1]) < 5e-4
     assert m.max_abs_error < 1e-3
     assert m.settle_time == 0.0
+
+
+def counting(monkeypatch, module, name, key):
+    """Replace module.name by a pass-through that counts its calls per key(args)."""
+    calls = {}
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[key(args)] = calls.get(key(args), 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_per_tick_layers_are_called_once_per_tick(monkeypatch):
+    # the benchmark attributes time to the per-tick layers by wrapping these
+    # three module bindings, so each must be called once per tick
+    controls = counting(monkeypatch, harness, "control_step", lambda args: args[2])
+    plants = counting(monkeypatch, harness, "plant_step", lambda args: args[1])
+    s = load_scenario(bundled("reach_q1"))
+    run_scenario(s)
+    n = s.n_samples
+    assert controls == {cfg.plant: n for cfg in s.joints.values()}
+    assert plants == {cfg.plant: n - 1 for cfg in s.joints.values()}
+
+    records = counting(monkeypatch, sysid, "plant_step", lambda args: args[1])
+    u = sysid.multisine_profile(300, seed=2)
+    sysid.simulate_record(presets.FE_PLANT, sysid.IoRecord(u=u, theta=np.zeros(300), ts=0.065))
+    assert records == {presets.FE_PLANT: 299}
 
 
 def test_zero_length_reference_at_rest_angle():

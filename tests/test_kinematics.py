@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shouldersim import (
     ArmLength,
@@ -141,6 +142,28 @@ def test_inverse_arm_along_x():
 def test_inverse_rejects_unreachable_point():
     with pytest.raises(ValueError, match="unreachable"):
         inverse(WristPosition(0.0, 0.0, 0.2))
+
+
+@settings(max_examples=300)
+@given(
+    theta_s1=st.floats(-math.pi, math.pi),
+    theta_s2=st.floats(-1.5, 1.5),
+    l_a=st.floats(0.05, 2.0),
+    offset=st.floats(-0.99e-4, 0.99e-4) | st.floats(1.01e-4, 10.0) | st.floats(-1.0, -1.01e-4),
+)
+def test_inverse_accepts_the_arm_sphere_and_rejects_points_off_it(theta_s1, theta_s2, l_a, offset):
+    arm = ArmLength(l_a)
+    p = forward(ShoulderAngles(theta_s1, theta_s2), arm)
+    inverse(p, arm)  # every forward position is accepted
+    # the same direction at radius l_a + offset; the tolerance is 1e-4 m
+    offset = max(offset, -0.5 * l_a)
+    scale = (l_a + offset) / l_a
+    off = WristPosition(p.x * scale, p.y * scale, p.z * scale)
+    if abs(offset) > 1e-4:
+        with pytest.raises(ValueError, match="^unreachable: "):
+            inverse(off, arm)
+    else:
+        inverse(off, arm)
 
 
 def test_inverse_rejects_gimbal_pose():

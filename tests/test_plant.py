@@ -27,7 +27,7 @@ def simulate_constant(tf, u, duration, dt, rho=0.0):
     state = PlantState(theta=0.0, theta_dot=0.0)
     for _ in range(int(round(duration / dt))):
         state = step(state, tf, u, rho, dt)
-    return state
+    return PlantState._make(state)
 
 
 def test_coefficient_validation():
@@ -47,7 +47,7 @@ def test_coefficient_validation():
 
 def test_step_keeps_origin_fixed():
     state = PlantState(theta=0.0, theta_dot=0.0)
-    nxt = step(state, G1, u=0.0, rho=0.0, dt=0.065)
+    nxt = PlantState._make(step(state, G1, u=0.0, rho=0.0, dt=0.065))
     assert nxt.theta == 0.0
     assert nxt.theta_dot == 0.0
 
@@ -83,7 +83,7 @@ def test_step_matches_closed_form_response():
             state = step(state, tf, u=50.0, rho=0.0, dt=dt)
             t = (i + 1) * dt
             if t in (1.0, 5.0, 20.0):
-                assert abs(state.theta - closed_form_step(tf, 50.0, t)) < 1e-8
+                assert abs(state[0] - closed_form_step(tf, 50.0, t)) < 1e-8
 
 
 def test_disturbance_adds_to_input():
@@ -105,7 +105,7 @@ def test_equilibrium_invariance_property():
     state = PlantState(theta=0.0, theta_dot=0.0)
     for _ in range(50):
         dt = float(rng.uniform(0.001, 0.5))
-        nxt = step(state, G1, u=0.0, rho=0.0, dt=dt)
+        nxt = PlantState._make(step(state, G1, u=0.0, rho=0.0, dt=dt))
         assert nxt.theta == 0.0 and nxt.theta_dot == 0.0
 
 
@@ -132,7 +132,7 @@ def test_rk4_order_of_accuracy():
     errs = []
     for dt in dts:
         state = PlantState(theta=0.0, theta_dot=0.0)
-        nxt = step(state, tf, u=10.0, rho=0.0, dt=float(dt))
+        nxt = PlantState._make(step(state, tf, u=10.0, rho=0.0, dt=float(dt)))
         errs.append(abs(nxt.theta - closed_form_step(tf, 10.0, float(dt))))
     slope = np.polyfit(np.log(dts), np.log(np.array(errs)), 1)[0]
     assert slope >= 3.5
@@ -149,7 +149,7 @@ def test_linearity_of_response():
         out = np.empty(n)
         for i in range(n):
             state = step(state, G1, float(u_seq[i]), 0.0, 0.065)
-            out[i] = state.theta
+            out[i] = state[0]
         return out
 
     combined = run(u1 + u2)

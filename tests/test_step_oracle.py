@@ -1,7 +1,9 @@
 """The per-tick layers against their frozen-dataclass originals, bit for bit.
 
-gpi.control_step and plant.step run on floats and NamedTuple states. The
-dataclass versions they replaced are kept below, unchanged, as the oracle:
+gpi.control_step and plant.step run on floats and take their states as any
+tuple in the ControllerState/PlantState field order; they return plain
+tuples in that order. The dataclass versions they replaced are kept below,
+unchanged, as the oracle:
 OracleControllerState/oracle_control_step (with the attribute-access
 feedforward) and OraclePlantState/oracle_step. Whole closed-loop runs over
 random designs, plants, saturation bounds, references, noise, rho and dt
@@ -130,6 +132,10 @@ def oracle_step(state, tf, u, rho, dt):
     return OraclePlantState(theta=theta, theta_dot=theta_dot)
 
 
+def fields_of(state):
+    return astuple(state) if is_dataclass(state) else tuple(state)
+
+
 def closed_loop(ctrl_state, ctrl, plant_state, plant, case, wrap_ref):
     """The run_scenario loop; returns the log, the final states and the
     tick and layer of the ValueError that ended it, if any. Floats are
@@ -140,7 +146,7 @@ def closed_loop(ctrl_state, ctrl, plant_state, plant, case, wrap_ref):
     cs = ctrl_state(e0=case["e0"], theta_dot0=refs[0][1])
     log, error = [], None
     for i, ref in enumerate(refs):
-        meas = state.theta + noise[i]
+        meas = fields_of(state)[0] + noise[i]
         try:
             u, cs = ctrl(cs, gains, case["tf"], meas, wrap_ref(ref), dt, case["sat"])
         except ValueError:
@@ -153,8 +159,7 @@ def closed_loop(ctrl_state, ctrl, plant_state, plant, case, wrap_ref):
             except ValueError:
                 error = (i, "plant")
                 break
-    fields = astuple(cs) if is_dataclass(cs) else tuple(cs)
-    return log, repr(fields), repr((state.theta, state.theta_dot)), error
+    return log, repr(fields_of(cs)), repr(fields_of(state)), error
 
 
 @st.composite
@@ -190,6 +195,25 @@ def test_control_step_and_step_equal_the_dataclass_oracle(case, as_refsample):
     got = closed_loop(ControllerState, control_step, PlantState, step, case,
                       RefSample._make if as_refsample else tuple)
     assert got == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=loop_cases())
+def test_successors_are_plain_tuples_and_rewrapping_them_changes_nothing(case):
+    def control_step_rewrapped(*args):
+        u, nxt = control_step(*args)
+        assert type(nxt) is tuple and len(nxt) == len(ControllerState._fields)
+        return u, ControllerState._make(nxt)
+
+    def step_rewrapped(*args):
+        nxt = step(*args)
+        assert type(nxt) is tuple and len(nxt) == len(PlantState._fields)
+        return PlantState._make(nxt)
+
+    plain = closed_loop(ControllerState, control_step, PlantState, step, case, tuple)
+    rewrapped = closed_loop(ControllerState, control_step_rewrapped, PlantState, step_rewrapped,
+                            case, tuple)
+    assert rewrapped == plain
 
 
 @settings(deadline=None)
