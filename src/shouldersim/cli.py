@@ -24,7 +24,7 @@ from . import harness, presets, sysid
 from .gpi import GpiDesign, closed_loop_char_poly, compute_gains
 from .kinematics import ArmLength, ShoulderAngles, WristPosition, forward, inverse
 from .plant import SecondOrderTf
-from .trajectory import DEFAULT_DT, load_teach_csv
+from .trajectory import DEFAULT_DT
 
 
 def _cmd_run(args) -> int:
@@ -84,10 +84,10 @@ def _cmd_sysid(args) -> int:
 
 
 def _cmd_teach(args) -> int:
-    taught = load_teach_csv(args.record)
-    thetas = taught.samples[:, 1]
+    ref = harness.TeachRef(file=str(args.record), smooth=args.smooth)
+    thetas = ref.demo.samples[:, 1]
     print(
-        f"demonstration: {len(thetas)} samples over {taught.duration:.3f} s, "
+        f"demonstration: {len(thetas)} samples over {ref.demo.duration:.3f} s, "
         f"angle range [{thetas.min():.4f}, {thetas.max():.4f}] rad"
     )
     if not args.repeat:
@@ -96,8 +96,8 @@ def _cmd_teach(args) -> int:
         print("error: --repeat requires --out", file=sys.stderr)
         return 1
     bundled = harness.load_scenario(presets.scenario_dir() / "teach_repeat.json")
-    abad = replace(bundled.joints["abad"], reference=harness.TeachRef(file=str(args.record), smooth=args.smooth))
-    scenario = replace(bundled, joints={"abad": abad}, duration=max(taught.duration, DEFAULT_DT))
+    abad = replace(bundled.joints["abad"], reference=ref)
+    scenario = replace(bundled, joints={"abad": abad}, duration=max(ref.demo.duration, DEFAULT_DT))
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]

@@ -8,6 +8,10 @@ amplitude and RNG seed. run_scenario executes each joint's loop
 independently (the joints are decoupled SISO systems) and deterministically:
 the same scenario always produces bit-identical results.
 
+A taught demonstration is read and validated once, when its TeachRef is
+built, so a malformed demonstration fails load_scenario with its file and
+line. A run reads no files: it is a function of the Scenario value alone.
+
 Per tick the runner samples the reference, clamps it to the joint limits,
 reads the plant angle (plus optional uniform noise), runs the control law and
 advances the plant by one RK4 step with the applied, saturated command.
@@ -21,7 +25,8 @@ import os
 import re
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -79,10 +84,16 @@ class SineRef:
 
 @dataclass(frozen=True)
 class TeachRef:
-    """Replay of a recorded t,theta,theta_dot demonstration file."""
+    """Replay of a t,theta,theta_dot demonstration file, read and validated when built."""
 
     file: str
     smooth: bool = False
+
+    def __post_init__(self):
+        if not Path(self.file).exists():
+            raise ValueError(f"teach file not found: {self.file}")
+        # demo is not a field: equality, repr and the JSON form stay file and smooth
+        object.__setattr__(self, "demo", load_teach_csv(self.file))
 
 
 ReferenceSpec = Union[QuinticRef, SineRef, TeachRef]
@@ -102,7 +113,7 @@ class JointConfig:
 class Scenario:
     """Declarative description of one closed-loop experiment."""
 
-    joints: Dict[str, JointConfig]
+    joints: Mapping[str, JointConfig]
     dt: float = DEFAULT_DT
     duration: float = 10.0
     noise_amplitude: float = 0.0
@@ -110,6 +121,8 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
+        # a read-only view of the scenario's own copy: the checked names cannot change later
+        object.__setattr__(self, "joints", MappingProxyType(dict(self.joints)))
         if not self.joints:
             raise ValueError("scenario needs at least one joint")
         for joint in self.joints:
@@ -121,8 +134,11 @@ class Scenario:
             raise ValueError(f"duration must be >= dt, got {self.duration!r}")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+    def __reduce__(self):  # a mappingproxy does not pickle: pickle and deepcopy rebuild from a dict
+        return type(self), (dict(self.joints), self.dt, self.duration, self.noise_amplitude, self.seed, self.name)
 
     @property
     def n_samples(self) -> int:
@@ -179,7 +195,7 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
     elif isinstance(ref, SineRef):
         out = sine_ref(ref.A, ref.f, ref.k, np.arange(n), dt)
     elif isinstance(ref, TeachRef):
-        taught = differentiate_teach(load_teach_csv(ref.file), dt, smooth=ref.smooth)
+        taught = differentiate_teach(ref.demo, dt, smooth=ref.smooth)
         pad = (0, max(n - len(taught.theta_d), 0))
         rates = (np.pad(x[:n], pad) for x in taught[1:])
         out = RefSample(np.pad(taught.theta_d[:n], pad, mode="edge"), *rates)
@@ -356,7 +372,7 @@ def scenario_to_dict(obj) -> dict:
     out = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             value = {key: scenario_to_dict(item) for key, item in value.items()}
         elif is_dataclass(value):
             value = scenario_to_dict(value)
@@ -401,15 +417,9 @@ def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
     kind = d.pop("kind", None)
     if kind not in _REFERENCE_KINDS:
         raise ValueError(f"unknown reference kind {kind!r}")
-    ref = _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
-    if isinstance(ref, TeachRef):
-        file = Path(ref.file)
-        if not file.is_absolute() and base_dir is not None:
-            file = Path(base_dir) / file
-        if not file.exists():
-            raise ValueError(f"teach file not found: {file}")
-        ref = TeachRef(file=str(file), smooth=ref.smooth)
-    return ref
+    if kind == "teach" and isinstance(d.get("file"), str) and base_dir is not None:
+        d["file"] = str(Path(base_dir) / d["file"])  # an absolute file stays as it is
+    return _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
 
 
 def _scalar(cast, accepts, expected):
@@ -439,7 +449,7 @@ _DECODERS = {
     "SaturationLimits": lambda v, b: _from_dict(SaturationLimits, v, b),
     "ReferenceSpec": _reference_from_dict,
     "Optional[DisturbanceSpec]": lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
-    "Dict[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in _expect_object(v).items()},
+    "Mapping[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in _expect_object(v).items()},
 }
 
 

@@ -15,6 +15,7 @@ least-squares fit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,8 +175,8 @@ def decimate_record(rec: IoRecord, m: int) -> IoRecord:
     discrete poles away from z = 1. Trailing samples that do not fill a
     block are dropped.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m!r}")
+    if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     n = (len(rec) // m) * m
     if n < 10 * m:
         raise ValueError(f"record too short to decimate by {m}")

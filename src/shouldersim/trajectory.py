@@ -125,7 +125,9 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
     differences at the endpoints. Sample i lies i*dt after the first
     demonstration sample. With smooth=True a 5-tap moving average is applied to the velocity
     before differencing (off by default: the raw pipeline is the baseline).
-    The demonstration must last at least one tick.
+    Smoothing needs at least 5 grid samples: below that, smooth=True returns
+    the raw velocity, without a warning. The demonstration must last at least
+    one tick.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")

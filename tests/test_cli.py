@@ -3,13 +3,15 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import shouldersim
-from shouldersim import IoRecord, multisine_profile, presets, simulate_record
+from shouldersim import IoRecord, multisine_profile, presets, simulate_record, trajectory
 from shouldersim.cli import main
 from shouldersim.kinematics import ArmLength, ShoulderAngles, forward
 
@@ -201,6 +203,18 @@ def test_teach_repeat_writes_artifacts(tmp_path, capsys):
         assert (tmp_path / name).exists()
         assert f"wrote {tmp_path / name}" in out
     assert set(json.loads((tmp_path / "metrics.json").read_text())) == {"abad"}
+
+
+def test_teach_repeat_reads_the_demonstration_once(tmp_path, capsys):
+    mine = tmp_path / "mine.csv"
+    shutil.copy(SCENARIOS / "taught_demo.csv", mine)
+    reader = mock.patch.object(trajectory, "read_csv_rows", wraps=trajectory.read_csv_rows)
+    with reader as read:
+        rc = main(["teach", "--record", str(mine), "--repeat", "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    reads = Counter(Path(call.args[0]).resolve() for call in read.call_args_list)
+    # the user's file once; the bundled demo once, when teach_repeat.json is loaded for its plant and design
+    assert reads == {mine.resolve(): 1, (SCENARIOS / "taught_demo.csv").resolve(): 1}
 
 
 def one_line_error(capsys, argv):

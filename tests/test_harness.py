@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import re
 import threading
 import xml.etree.ElementTree as ET
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shouldersim import (
     DisturbanceSpec,
@@ -33,8 +38,8 @@ from shouldersim import (
     run_scenario,
     save_scenario,
 )
-from shouldersim import harness, sysid
-from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict
+from shouldersim import harness, sysid, trajectory
+from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict, write_artifacts
 from shouldersim.plotting import render_svg
 from shouldersim.trajectory import DEFAULT_DT, quintic_eval
 
@@ -70,6 +75,10 @@ def test_scenario_validation():
         default_scenario(ref, duration=0.01)
     with pytest.raises(ValueError):
         default_scenario(ref, noise_amplitude=-0.1)
+    # bool is an Integral, but the JSON decoder refuses it, so the constructor does too
+    for seed in (True, False):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            default_scenario(ref, seed=seed)
     # nan < 0 is False, so a sign check alone would let these through
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -124,6 +133,79 @@ def test_teach_reference_holds_after_demo_ends():
     # a run shorter than the demo takes its first n samples
     head = build_reference(TeachRef(file=str(demo)), dt=0.065, n=10)
     assert all(np.array_equal(h, r[:10]) for h, r in zip(head, refs))
+
+
+def _write_demo(path, scale):
+    rows = [f"{0.05 * k!r},{scale * 0.01 * k!r},{scale * 0.2!r}" for k in range(101)]
+    path.write_text("t,theta,theta_dot\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_rerun_after_the_demo_file_changes_is_bit_identical(tmp_path):
+    # the demonstration is read when the reference is built, never by a run
+    demo = _write_demo(tmp_path / "demo.csv", scale=1.0)
+    s = default_scenario(TeachRef(file=str(demo)), duration=5.0)
+    first = run_scenario(s)
+    _write_demo(demo, scale=2.0)
+    second = run_scenario(s)
+    for name in ("theta_d", "theta_meas", "u", "e"):
+        assert np.array_equal(getattr(first.series["abad"], name), getattr(second.series["abad"], name))
+    # a new reference reads the new file
+    changed = run_scenario(default_scenario(TeachRef(file=str(demo)), duration=5.0))
+    assert not np.array_equal(changed.series["abad"].theta_d, first.series["abad"].theta_d)
+
+
+def test_a_loaded_teach_scenario_runs_without_reading_files():
+    s = load_scenario(bundled("teach_repeat"))
+    expected = run_scenario(load_scenario(bundled("teach_repeat")))
+    with mock.patch.object(trajectory, "read_csv_rows", side_effect=AssertionError("a run read a file")):
+        r = run_scenario(s)
+    assert np.array_equal(r.series["abad"].u, expected.series["abad"].u)
+
+
+def test_teach_reference_validates_its_file_when_built(tmp_path):
+    with pytest.raises(ValueError, match="teach file not found: nope.csv"):
+        TeachRef(file="nope.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,theta,theta_dot\n0.0,0.5,0.0\n0.1,abc,0.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: line 3: could not convert string to float")):
+        TeachRef(file=str(bad))
+    ref = TeachRef(file=str(_write_demo(tmp_path / "demo.csv", scale=1.0)), smooth=True)
+    assert ref.demo.samples.shape == (101, 3) and not ref.demo.samples.flags.writeable
+    # demo is not a field: equality, repr and replace see file and smooth only
+    assert ref == TeachRef(file=ref.file, smooth=True)
+    assert repr(ref) == f"TeachRef(file={ref.file!r}, smooth=True)"
+    assert np.array_equal(dataclasses.replace(ref, smooth=False).demo.samples, ref.demo.samples)
+
+
+def test_malformed_demo_fails_load_scenario_with_its_file_and_line(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,theta,theta_dot\n0.0,0.5,0.0\n0.1,0.6\n")
+    data = json.loads(bundled("teach_repeat").read_text())
+    data["joints"]["abad"]["reference"]["file"] = "bad.csv"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: line 3: expected 3 values, got 2")):
+        load_scenario(path)
+
+
+def test_joint_table_is_read_only_after_validation(tmp_path):
+    s = load_scenario(bundled("reach_q1"))
+    with pytest.raises(TypeError):
+        s.joints["../escaped"] = s.joints["fe"]
+    # the scenario keeps its own copy of the table it was given
+    table = dict(s.joints)
+    kept = Scenario(joints=table)
+    table["../escaped"] = table.pop("fe")
+    assert set(kept.joints) == {"abad", "fe"}
+    out = tmp_path / "out"
+    write_artifacts(run_scenario(s), out)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert sorted(p.name for p in out.iterdir()) == ["abad.csv", "fe.csv", "metrics.json", "plot.svg"]
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+    # the read-only table still pickles and deep-copies, through the constructor
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert copied == s and isinstance(copied.joints, MappingProxyType)
 
 
 def test_run_quintic_reach_tracks():
@@ -527,13 +609,21 @@ _JOINTS = st.builds(
     disturbance=st.none() | st.builds(DisturbanceSpec, _finite(), _finite(0.0, 1e6)),
 )
 
+
+def _scenario_or_none(joints, dt, extra, **kw):
+    try:
+        return Scenario(joints=joints, dt=dt, duration=dt + extra, **kw)
+    except ValueError:
+        return None  # the constructor refused it, so there is no file to round-trip
+
+
 _SCENARIOS = st.builds(
-    lambda joints, dt, extra, **kw: Scenario(joints=joints, dt=dt, duration=dt + extra, **kw),
+    _scenario_or_none,
     joints=st.dictionaries(st.sampled_from(["abad", "fe"]), _JOINTS, min_size=1),
     dt=_finite(1e-4, 1.0),
     extra=_finite(0.0, 1e3),
     noise_amplitude=_finite(0.0, 1.0),
-    seed=st.integers(0, 2**63),
+    seed=st.integers(0, 2**63) | st.booleans(),
     name=st.text(max_size=20),
 )
 
@@ -541,13 +631,17 @@ _SCENARIOS = st.builds(
 @settings(deadline=None)
 @given(_SCENARIOS)
 def test_scenario_json_round_trip(s):
+    # if the constructor accepts a scenario, its file round-trips
+    assume(s is not None)
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
 
 
 def test_missing_teach_file_is_reported(tmp_path):
-    s = default_scenario(TeachRef(file="nope.csv"), duration=5.0)
+    # TeachRef(file="nope.csv") raises at once, so the file is written as JSON
+    data = scenario_to_dict(default_scenario(QuinticRef(0.1745, 0.6981, 5.0), duration=5.0))
+    data["joints"]["abad"]["reference"] = {"kind": "teach", "file": "nope.csv"}
     path = tmp_path / "scenario.json"
-    save_scenario(s, path)
+    path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="teach file not found"):
         load_scenario(path)
 

@@ -201,6 +201,18 @@ def test_decimation_block_averages():
         decimate_record(IoRecord(u=np.ones(50), theta=np.ones(50), ts=TS), 10)
 
 
+@pytest.mark.parametrize("m", [0, -1, 10.0, 2.5, True, False, "2", None])
+def test_decimation_factor_must_be_an_integer_at_least_one(m):
+    rec = IoRecord(u=np.ones(500), theta=np.ones(500), ts=TS)
+    with pytest.raises(ValueError, match=rf"m must be an integer >= 1, got {m!r}"):
+        decimate_record(rec, m)
+
+
+def test_decimation_accepts_numpy_integers():
+    rec = IoRecord(u=np.ones(500), theta=np.ones(500), ts=TS)
+    assert len(decimate_record(rec, np.int64(10))) == 50
+
+
 def test_excitation_profiles_are_deterministic_and_bounded():
     a = multisine_profile(500, seed=9)
     b = multisine_profile(500, seed=9)

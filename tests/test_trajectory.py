@@ -284,6 +284,18 @@ def test_full_swing_sine_flattens_in_valleys():
     assert flat > 500
 
 
+@pytest.mark.parametrize("n_grid", [2, 3, 4, 5, 6])
+def test_smoothing_needs_five_grid_samples(n_grid):
+    # below 5 grid samples smooth=True is the raw pipeline, bit for bit
+    dt = 0.065
+    tt = record_teach([(k * dt, 0.1 * k, (-1.0) ** k) for k in range(n_grid)])
+    raw = differentiate_teach(tt, dt=dt, smooth=False)
+    smoothed = differentiate_teach(tt, dt=dt, smooth=True)
+    assert len(raw.theta_d) == n_grid
+    same = all(np.array_equal(a, b) for a, b in zip(raw, smoothed))
+    assert same == (n_grid < 5)
+
+
 def test_teach_csv_round_trip(tmp_path):
     tt = record_teach([(0.0, 0.2, 0.0), (0.5, 0.25, 0.11), (1.25, 0.31, 0.02)])
     path = tmp_path / "demo.csv"
