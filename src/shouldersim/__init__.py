@@ -6,7 +6,7 @@ controller synthesized by pole placement, and ships a scenario-driven harness
 with CSV/SVG export plus tools for trajectory generation, kinematics and
 transfer-function identification.
 """
-from .plant import DisturbanceSpec, PlantState, SecondOrderTf, dc_gain, step
+from .plant import DisturbanceSpec, SecondOrderTf, dc_gain, step
 from .gpi import (
     ControllerState,
     GpiDesign,
@@ -22,7 +22,6 @@ from .trajectory import (
     DEFAULT_DT,
     JointLimits,
     RefSample,
-    TaughtTrajectory,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,

@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     label = scenario.name or Path(args.scenario).stem
-    print(f"scenario {label}: {result.scenario.n_samples} samples per joint")
+    print(f"scenario {label}: {scenario.n_samples} samples per joint")
     for joint, m in result.metrics.items():
         settle = "never" if m.settle_time == float("inf") else f"{m.settle_time:.3f} s"
         print(
@@ -85,9 +85,10 @@ def _cmd_sysid(args) -> int:
 
 def _cmd_teach(args) -> int:
     ref = harness.TeachRef(file=str(args.record), smooth=args.smooth)
-    thetas = ref.demo.samples[:, 1]
+    thetas = ref.demo[:, 1]
+    duration = float(ref.demo[-1, 0]) - float(ref.demo[0, 0])
     print(
-        f"demonstration: {len(thetas)} samples over {ref.demo.duration:.3f} s, "
+        f"demonstration: {len(thetas)} samples over {duration:.3f} s, "
         f"angle range [{thetas.min():.4f}, {thetas.max():.4f}] rad"
     )
     if not args.repeat:
@@ -97,7 +98,7 @@ def _cmd_teach(args) -> int:
         return 1
     bundled = harness.load_scenario(presets.scenario_dir() / "teach_repeat.json")
     abad = replace(bundled.joints["abad"], reference=ref)
-    scenario = replace(bundled, joints={"abad": abad}, duration=max(ref.demo.duration, DEFAULT_DT))
+    scenario = replace(bundled, joints={"abad": abad}, duration=max(duration, DEFAULT_DT))
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]

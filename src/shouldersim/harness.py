@@ -38,7 +38,7 @@ from .gpi import (
     compute_gains,
     control_step,
 )
-from .plant import DisturbanceSpec, PlantState, SecondOrderTf, step as plant_step
+from .plant import DisturbanceSpec, SecondOrderTf, step as plant_step
 from .trajectory import (
     DEFAULT_DT,
     JointLimits,
@@ -84,7 +84,11 @@ class SineRef:
 
 @dataclass(frozen=True)
 class TeachRef:
-    """Replay of a t,theta,theta_dot demonstration file, read and validated when built."""
+    """Replay of a t,theta,theta_dot demonstration file, read and validated when built.
+
+    file is kept as an absolute path, so the reference and its JSON form name
+    the same demonstration whatever the working or the scenario directory.
+    """
 
     file: str
     smooth: bool = False
@@ -92,8 +96,13 @@ class TeachRef:
     def __post_init__(self):
         if not Path(self.file).exists():
             raise ValueError(f"teach file not found: {self.file}")
+        object.__setattr__(self, "file", os.path.abspath(self.file))
         # demo is not a field: equality, repr and the JSON form stay file and smooth
         object.__setattr__(self, "demo", load_teach_csv(self.file))
+
+    def __setstate__(self, state):  # pickle and deepcopy give numpy copies that are writeable
+        state["demo"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 ReferenceSpec = Union[QuinticRef, SineRef, TeachRef]
@@ -177,7 +186,6 @@ class Metrics:
 
 @dataclass
 class SimResult:
-    scenario: Scenario
     series: Dict[str, JointSeries]
     metrics: Dict[str, Metrics]
 
@@ -240,7 +248,7 @@ def run_scenario(s: Scenario) -> SimResult:
 
         theta_meas = np.empty(n)
         u_log = np.empty(n)
-        state = PlantState(theta=float(ref.theta_d[0]), theta_dot=0.0)
+        state = (float(ref.theta_d[0]), 0.0)
         cs = ControllerState(theta_dot0=float(ref.theta_dot_d[0]))
         ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
         try:
@@ -258,7 +266,7 @@ def run_scenario(s: Scenario) -> SimResult:
             t=t, theta_d=ref.theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - ref.theta_d
         )
     metrics = {joint: compute_metrics(js) for joint, js in series.items()}
-    return SimResult(scenario=s, series=series, metrics=metrics)
+    return SimResult(series=series, metrics=metrics)
 
 
 def compute_metrics(series: JointSeries) -> Metrics:
@@ -422,6 +430,14 @@ def _reference_from_dict(d: dict, base_dir) -> ReferenceSpec:
     return _from_dict(_REFERENCE_KINDS[kind], d, base_dir)
 
 
+def _joint_from_dict(joint: str, d, base_dir) -> JointConfig:
+    """_from_dict for one joint; any error decoding it names the joint first, as run_scenario does."""
+    try:
+        return _from_dict(JointConfig, d, base_dir)
+    except (TypeError, ValueError) as ex:
+        raise ValueError(f"joint {joint}: {ex}") from ex
+
+
 def _scalar(cast, accepts, expected):
     """Decoder of a JSON scalar: cast(v) if accepts(v), else TypeError."""
     def decode(v, _):
@@ -449,7 +465,7 @@ _DECODERS = {
     "SaturationLimits": lambda v, b: _from_dict(SaturationLimits, v, b),
     "ReferenceSpec": _reference_from_dict,
     "Optional[DisturbanceSpec]": lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
-    "Mapping[str, JointConfig]": lambda v, b: {k: _from_dict(JointConfig, c, b) for k, c in _expect_object(v).items()},
+    "Mapping[str, JointConfig]": lambda v, b: {k: _joint_from_dict(k, c, b) for k, c in _expect_object(v).items()},
 }
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -46,17 +45,6 @@ class SecondOrderTf:
             raise ValueError(f"gamma2 must be > 0, got {self.gamma2!r}")
 
 
-class PlantState(NamedTuple):
-    """Instantaneous joint state: angle (rad) and angular velocity (rad/s).
-
-    Not validated per instance: step checks the states it produces, and the
-    initial state comes from validated input (a reference or a record).
-    """
-
-    theta: float
-    theta_dot: float
-
-
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Constant input disturbance of `magnitude` PWM-% switched on at t = onset."""
@@ -71,11 +59,11 @@ class DisturbanceSpec:
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
 
 
-def step(state: PlantState, tf: SecondOrderTf, u: float, rho: float, dt: float) -> tuple:
+def step(state: tuple, tf: SecondOrderTf, u: float, rho: float, dt: float) -> tuple:
     """Advance the plant ODE by one fixed RK4 step with zero-order-hold input.
 
-    state is any (theta, theta_dot) pair; the successor is a plain tuple in
-    PlantState's field order.
+    state is a (theta, theta_dot) pair in rad and rad/s, not checked: it comes
+    from validated input or a previous step. The successor is a new such pair.
 
     The caller is responsible for saturating u beforehand; u and rho are held
     constant over the step. Stage i evaluates the derivative (v_i, a_i) at

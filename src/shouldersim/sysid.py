@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import PlantState, SecondOrderTf, step as plant_step
+from .plant import SecondOrderTf, step as plant_step
 from .trajectory import DEFAULT_DT, read_csv_rows
 
 _BIAS_ITERATIONS = 50
@@ -145,8 +145,8 @@ def fit_percent(y, yhat) -> float:
 def simulate_record(tf: SecondOrderTf, rec: IoRecord) -> np.ndarray:
     """RK4 response of a plant to the record's input, from (theta[0], 0) at rest."""
     out = np.empty(len(rec))
-    state = PlantState(theta=float(rec.theta[0]), theta_dot=0.0)
-    out[0] = state.theta
+    state = (float(rec.theta[0]), 0.0)
+    out[0] = state[0]
     for k, u in enumerate(rec.u[:-1].tolist(), 1):
         state = plant_step(state, tf, u, 0.0, rec.ts)
         out[k] = state[0]

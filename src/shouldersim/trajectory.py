@@ -47,14 +47,6 @@ class RefSample(NamedTuple):
     theta_ddot_d: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class TaughtTrajectory:
-    """A recorded demonstration: an (n, 3) read-only array of (t, theta, theta_dot) rows."""
-
-    samples: np.ndarray
-    duration: float
-
-
 def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
@@ -93,8 +85,8 @@ def sine_ref(A: float, f: float, k: float, t, dt: float = DEFAULT_DT) -> RefSamp
     )
 
 
-def record_teach(samples) -> TaughtTrajectory:
-    """Store a (t, theta, theta_dot) demonstration verbatim as an (n, 3) array.
+def record_teach(samples) -> np.ndarray:
+    """A (t, theta, theta_dot) demonstration, verbatim, as a read-only (n, 3) array.
 
     Requires at least two finite samples with strictly increasing timestamps.
     """
@@ -114,11 +106,11 @@ def record_teach(samples) -> TaughtTrajectory:
         prev, cur = t[bad[0]:bad[0] + 2].tolist()
         raise ValueError(f"timestamps must be strictly increasing, got {prev!r} then {cur!r}")
     data.flags.writeable = False
-    return TaughtTrajectory(samples=data, duration=float(t[-1]) - float(t[0]))
+    return data
 
 
-def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -> RefSample:
-    """Resample a demonstration onto a uniform dt grid and estimate acceleration.
+def differentiate_teach(demo: np.ndarray, dt: float, smooth: bool = False) -> RefSample:
+    """Resample a record_teach demonstration onto a uniform dt grid and estimate acceleration.
 
     Angle and velocity are linearly interpolated; acceleration comes from
     central finite differences of the resampled velocity, with one-sided
@@ -131,14 +123,14 @@ def differentiate_teach(tt: TaughtTrajectory, dt: float, smooth: bool = False) -
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    n = int(math.floor(tt.duration / dt + 1e-9)) + 1
+    duration = float(demo[-1, 0]) - float(demo[0, 0])
+    n = int(math.floor(duration / dt + 1e-9)) + 1
     if n < 2:
-        raise ValueError(f"demonstration lasts {tt.duration!r} s, shorter than one tick of {dt!r} s")
-    data = tt.samples
-    t_src = data[:, 0] - data[0, 0]
+        raise ValueError(f"demonstration lasts {duration!r} s, shorter than one tick of {dt!r} s")
+    t_src = demo[:, 0] - demo[0, 0]
     t_grid = np.arange(n) * dt
-    theta = np.interp(t_grid, t_src, data[:, 1])
-    theta_dot = np.interp(t_grid, t_src, data[:, 2])
+    theta = np.interp(t_grid, t_src, demo[:, 1])
+    theta_dot = np.interp(t_grid, t_src, demo[:, 2])
     if smooth and n >= 5:
         kernel = np.ones(5) / 5.0
         padded = np.concatenate([theta_dot[2:0:-1], theta_dot, theta_dot[-2:-4:-1]])
@@ -189,6 +181,6 @@ def read_csv_rows(path, header: Sequence[str], what: str) -> Tuple[List[int], np
     return lines, np.array(rows, dtype=float).reshape(-1, len(header))
 
 
-def load_teach_csv(path) -> TaughtTrajectory:
-    """Read a t,theta,theta_dot CSV demonstration."""
+def load_teach_csv(path) -> np.ndarray:
+    """Read a t,theta,theta_dot CSV demonstration as record_teach's array."""
     return record_teach(read_csv_rows(path, ("t", "theta", "theta_dot"), "teach")[1])

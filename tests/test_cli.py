@@ -327,10 +327,10 @@ def _set_joint_field(field, value):
     [
         (lambda d: d.update(joints=[]), "Scenario.joints: expected an object, got []"),
         (lambda d: d.update(joints="x"), "Scenario.joints: expected an object, got 'x'"),
-        (lambda d: d["joints"].update(abad=3), "Scenario.joints: expected an object, got 3"),
-        (_set_joint_field("plant", [1, 2]), "JointConfig.plant: expected an object, got [1, 2]"),
-        (_set_joint_field("reference", [1]), "JointConfig.reference: expected an object, got [1]"),
-        (_set_joint_field("disturbance", "x"), "JointConfig.disturbance: expected an object, got 'x'"),
+        (lambda d: d["joints"].update(abad=3), "joint abad: expected an object, got 3"),
+        (_set_joint_field("plant", [1, 2]), "joint abad: JointConfig.plant: expected an object, got [1, 2]"),
+        (_set_joint_field("reference", [1]), "joint abad: JointConfig.reference: expected an object, got [1]"),
+        (_set_joint_field("disturbance", "x"), "joint abad: JointConfig.disturbance: expected an object, got 'x'"),
     ],
     ids=["joints-list", "joints-str", "joint-int", "plant-list", "reference-list", "disturbance-str"],
 )
@@ -353,14 +353,14 @@ def _edit_joint(*path, **changes):
     "edit, message",
     [
         (lambda d: d.update(noise_amplitde=0.01), "Scenario: unknown field 'noise_amplitde'"),
-        (_edit_joint(gains={}), "JointConfig: unknown field 'gains'"),
-        (_edit_joint("plant", gamma3=1.0), "SecondOrderTf: unknown field 'gamma3'"),
-        (_edit_joint("reference", Tf=5.0), "QuinticRef: unknown field 'Tf'"),
+        (_edit_joint(gains={}), "joint abad: JointConfig: unknown field 'gains'"),
+        (_edit_joint("plant", gamma3=1.0), "joint abad: SecondOrderTf: unknown field 'gamma3'"),
+        (_edit_joint("reference", Tf=5.0), "joint abad: QuinticRef: unknown field 'Tf'"),
         (lambda d: d.update(name=None), "Scenario.name: expected a string, got None"),
         (lambda d: d.update(name=5), "Scenario.name: expected a string, got 5"),
-        (_set_joint_field("reference", {"kind": "teach", "file": 5}), "TeachRef.file: expected a string, got 5"),
-        (lambda d: d["joints"]["abad"].pop("plant"), "JointConfig.plant: required field missing"),
-        (lambda d: d["joints"]["abad"]["reference"].pop("T"), "QuinticRef.T: required field missing"),
+        (_set_joint_field("reference", {"kind": "teach", "file": 5}), "joint abad: TeachRef.file: expected a string, got 5"),
+        (lambda d: d["joints"]["abad"].pop("plant"), "joint abad: JointConfig.plant: required field missing"),
+        (lambda d: d["joints"]["abad"]["reference"].pop("T"), "joint abad: QuinticRef.T: required field missing"),
     ],
     ids=[
         "unknown-top", "unknown-joint", "unknown-plant", "unknown-reference",
@@ -371,6 +371,37 @@ def test_run_rejects_malformed_field(tmp_path, capsys, edit, message):
     err = run_edited_scenario(tmp_path, capsys, edit).err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _edit_fe(part, **changes):
+    return lambda d: d["joints"]["fe"][part].update(changes)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_fe("plant", gamma0=-1), "joint fe: gamma0 must be > 0, got -1.0"),
+        (_edit_fe("plant", gamma0="x"), "joint fe: SecondOrderTf.gamma0: expected a number, got 'x'"),
+        (
+            _edit_fe("reference", T=0),
+            "joint fe: quintic reference needs finite values and T > 0, "
+            "got QuinticRef(theta0=0.1745, thetaf=0.3491, T=0.0)",
+        ),
+    ],
+    ids=["gamma0-negative", "gamma0-string", "T-zero"],
+)
+def test_run_names_the_joint_of_a_scenario_error(tmp_path, capsys, edit, message):
+    err = run_edited_scenario(tmp_path, capsys, edit, name="reach_q5").err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_names_the_joint_whose_teach_file_is_missing(tmp_path, capsys):
+    def edit(d):
+        d["joints"]["fe"]["reference"] = {"kind": "teach", "file": "nope.csv"}
+
+    err = run_edited_scenario(tmp_path, capsys, edit, name="reach_q5").err
+    assert err == f"error: joint fe: teach file not found: {tmp_path / 'nope.csv'}\n"
 
 
 @pytest.mark.parametrize("top", [[1, 2], "x", 3, None])

@@ -48,7 +48,7 @@ def _written_csv(table):
     """(series, written text, reloaded series) of one joint whose columns are table's rows."""
     series = JointSeries(*table)
     with tempfile.TemporaryDirectory() as out_dir:
-        (path,) = export_csv(SimResult(scenario=None, series={"abad": series}, metrics={}), out_dir)
+        (path,) = export_csv(SimResult(series={"abad": series}, metrics={}), out_dir)
         return series, path.read_text(), load_series_csv(path)
 
 

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shouldersim import (
     ControllerState,
     GpiDesign,
     GpiGains,
-    PlantState,
+    JointConfig,
+    JointLimits,
+    QuinticRef,
     RefSample,
     SaturationLimits,
+    Scenario,
     SecondOrderTf,
     closed_loop_char_poly,
     compute_gains,
     control_step,
     feedforward,
     hurwitz_poly,
+    presets,
     quintic_eval,
+    run_scenario,
     step,
 )
 
@@ -28,7 +34,7 @@ WIDE = SaturationLimits(u_min=-1e9, u_max=1e9)
 def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=None, rho=0.0):
     gains = compute_gains(design, tf)
     n = int(round(duration / dt)) + 1
-    state = PlantState(theta=theta0, theta_dot=0.0)
+    state = (theta0, 0.0)
     cs = ControllerState()
     e_log = np.empty(n)
     u_log = np.empty(n)
@@ -280,3 +286,47 @@ def test_poles_analysis_quadruple_root():
     roots = np.roots(closed_loop_char_poly(gains, tf))
     # a quadruple root is extracted with O(eps^(1/4)) accuracy at best
     assert np.max(np.abs(roots - (-1.0))) < 1e-3
+
+
+PRESET_JOINTS = {
+    "abad": (presets.ABAD_PLANT, presets.ABAD_DESIGN, presets.ABAD_LIMITS),
+    "fe": (presets.FE_PLANT, presets.FE_DESIGN, presets.FE_LIMITS),
+}
+
+
+@st.composite
+def holds(draw):
+    """A preset joint and a constant reference angle inside its limits."""
+    joint = draw(st.sampled_from(sorted(PRESET_JOINTS)))
+    limits = PRESET_JOINTS[joint][2]
+    return joint, draw(st.floats(limits.theta_min, limits.theta_max))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: k3 acts on ∫u, not ∫(u − u_d)")
+@settings(max_examples=20, deadline=None)
+@given(case=holds())
+@example(case=("abad", 0.5))
+@example(case=("fe", 0.3))
+def test_a_constant_reference_is_held_with_u_equal_to_u_d(case):
+    joint, theta0 = case
+    plant, design, _ = PRESET_JOINTS[joint]
+    cfg = JointConfig(
+        plant=plant,
+        design=design,
+        limits=JointLimits(-10.0, 10.0),  # never clamps the reference
+        saturation=WIDE,  # never reached
+        reference=QuinticRef(theta0, theta0, 1.0),  # theta_d = theta0, zero rates
+    )
+    series = run_scenario(Scenario(joints={joint: cfg}, duration=20.0)).series[joint]
+    u_d = feedforward(plant, (theta0, 0.0, 0.0))
+    # Design: the gains are placed for the loop whose equilibrium on a
+    # constant reference, started at rest on it, is e = 0 and u = u_d on every
+    # tick. Roundoff: u_d = gamma2*theta0/gamma0 and the plant's gamma0*u_d are
+    # each a few roundings from gamma2*theta0, so e may hold a few ulps of
+    # theta0 and u a few ulps of u_d plus what the proportional gain k2/gamma0
+    # makes of that e. 64 ulps of each leaves room to spare.
+    eps = np.finfo(float).eps
+    e_tol = 64 * eps * theta0
+    u_tol = 64 * eps * abs(u_d) + compute_gains(design, plant).k2 / plant.gamma0 * e_tol
+    assert np.max(np.abs(series.e)) <= e_tol
+    assert np.max(np.abs(series.u - u_d)) <= u_tol

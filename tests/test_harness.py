@@ -6,6 +6,7 @@ import pickle
 import re
 import threading
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from types import MappingProxyType
 from unittest import mock
 
@@ -163,6 +164,43 @@ def test_a_loaded_teach_scenario_runs_without_reading_files():
     assert np.array_equal(r.series["abad"].u, expected.series["abad"].u)
 
 
+def _same_run(a, b):
+    """True when two SimResults hold the same joints and bit-identical series."""
+    return a.series.keys() == b.series.keys() and all(
+        getattr(a.series[j], name).tobytes() == getattr(b.series[j], name).tobytes()
+        for j in a.series
+        for name in ("t", "theta_d", "theta_meas", "u", "e")
+    )
+
+
+def test_a_copied_teach_scenario_keeps_its_demo_read_only():
+    # numpy gives pickled and deep-copied arrays a writeable flag
+    s = load_scenario(bundled("teach_repeat"))
+    expected = run_scenario(s)
+    with mock.patch.object(trajectory, "read_csv_rows", side_effect=AssertionError("a copy read a file")):
+        copies = [pickle.loads(pickle.dumps(s)), copy.deepcopy(s)]
+    for copied in copies:
+        demo = copied.joints["abad"].reference.demo
+        assert not demo.flags.writeable
+        with pytest.raises(ValueError):
+            demo[0, 1] = 9.0
+        assert _same_run(run_scenario(copied), expected)
+
+
+def test_save_scenario_keeps_a_relative_teach_file_pointing_at_its_demo(tmp_path, monkeypatch):
+    # load_scenario resolves a relative teach file against the JSON file's
+    # directory, and the working directory may change after the reference is built
+    _write_demo(tmp_path / "demo.csv", scale=1.0)
+    monkeypatch.chdir(tmp_path)
+    s = default_scenario(TeachRef(file="demo.csv"), duration=5.0)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    path = save_scenario(s, Path("out") / "s.json")
+    saved = json.loads(path.read_text())["joints"]["abad"]["reference"]["file"]
+    assert Path(saved).is_absolute() and Path(saved).samefile(tmp_path / "demo.csv")
+    assert _same_run(run_scenario(load_scenario(path)), run_scenario(s))
+
+
 def test_teach_reference_validates_its_file_when_built(tmp_path):
     with pytest.raises(ValueError, match="teach file not found: nope.csv"):
         TeachRef(file="nope.csv")
@@ -171,11 +209,11 @@ def test_teach_reference_validates_its_file_when_built(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{bad}: line 3: could not convert string to float")):
         TeachRef(file=str(bad))
     ref = TeachRef(file=str(_write_demo(tmp_path / "demo.csv", scale=1.0)), smooth=True)
-    assert ref.demo.samples.shape == (101, 3) and not ref.demo.samples.flags.writeable
+    assert ref.demo.shape == (101, 3) and not ref.demo.flags.writeable
     # demo is not a field: equality, repr and replace see file and smooth only
     assert ref == TeachRef(file=ref.file, smooth=True)
     assert repr(ref) == f"TeachRef(file={ref.file!r}, smooth=True)"
-    assert np.array_equal(dataclasses.replace(ref, smooth=False).demo.samples, ref.demo.samples)
+    assert np.array_equal(dataclasses.replace(ref, smooth=False).demo, ref.demo)
 
 
 def test_malformed_demo_fails_load_scenario_with_its_file_and_line(tmp_path):
@@ -209,10 +247,11 @@ def test_joint_table_is_read_only_after_validation(tmp_path):
 
 
 def test_run_quintic_reach_tracks():
-    r = run_scenario(load_scenario(bundled("reach_q1")))
+    s = load_scenario(bundled("reach_q1"))
+    r = run_scenario(s)
     m = r.metrics["abad"]
     assert set(r.series) == {"abad", "fe"}
-    assert len(r.series["abad"].t) == r.scenario.n_samples
+    assert len(r.series["abad"].t) == s.n_samples
     assert abs(r.series["abad"].e[-1]) < 5e-4
     assert m.max_abs_error < 1e-3
     assert m.settle_time == 0.0
@@ -482,7 +521,7 @@ def test_csv_export_of_empty_series_is_header_only(tmp_path):
         u=np.array([]),
         e=np.array([]),
     )
-    result = SimResult(scenario=None, series={"abad": empty}, metrics={})
+    result = SimResult(series={"abad": empty}, metrics={})
     (path,) = export_csv(result, tmp_path)
     assert path.read_text() == "t,theta_d,theta_meas,u,e\n"
 
@@ -497,7 +536,7 @@ def test_concurrent_exports_to_one_path_publish_whole_files(tmp_path):
     """
     n = 4000
     results = [
-        SimResult(scenario=None, series={"abad": JointSeries(*np.full((5, n), float(w)))}, metrics={})
+        SimResult(series={"abad": JointSeries(*np.full((5, n), float(w)))}, metrics={})
         for w in range(4)
     ]
     header = "t,theta_d,theta_meas,u,e\n"

@@ -5,7 +5,6 @@ import pytest
 
 from shouldersim import (
     DisturbanceSpec,
-    PlantState,
     SecondOrderTf,
     dc_gain,
     step,
@@ -24,10 +23,10 @@ def closed_form_step(tf, u, t):
 
 
 def simulate_constant(tf, u, duration, dt, rho=0.0):
-    state = PlantState(theta=0.0, theta_dot=0.0)
+    state = (0.0, 0.0)
     for _ in range(int(round(duration / dt))):
         state = step(state, tf, u, rho, dt)
-    return PlantState._make(state)
+    return state
 
 
 def test_coefficient_validation():
@@ -40,20 +39,19 @@ def test_coefficient_validation():
     with pytest.raises(ValueError):
         SecondOrderTf(float("nan"), 0.1, 0.1)
     with pytest.raises(ValueError, match="plant state must be finite"):
-        step(PlantState(theta=float("inf"), theta_dot=0.0), G1, u=0.0, rho=0.0, dt=0.065)
+        step((float("inf"), 0.0), G1, u=0.0, rho=0.0, dt=0.065)
     with pytest.raises(ValueError):
         DisturbanceSpec(magnitude=5.0, onset=-1.0)
 
 
 def test_step_keeps_origin_fixed():
-    state = PlantState(theta=0.0, theta_dot=0.0)
-    nxt = PlantState._make(step(state, G1, u=0.0, rho=0.0, dt=0.065))
-    assert nxt.theta == 0.0
-    assert nxt.theta_dot == 0.0
+    theta, theta_dot = step((0.0, 0.0), G1, u=0.0, rho=0.0, dt=0.065)
+    assert theta == 0.0
+    assert theta_dot == 0.0
 
 
 def test_step_rejects_bad_inputs():
-    state = PlantState(theta=0.0, theta_dot=0.0)
+    state = (0.0, 0.0)
     with pytest.raises(ValueError, match="non-finite input rejected"):
         step(state, G1, u=float("nan"), rho=0.0, dt=0.065)
     with pytest.raises(ValueError, match="non-finite input rejected"):
@@ -66,18 +64,18 @@ def test_step_rejects_bad_inputs():
 
 def test_full_pwm_reaches_saturated_angle_abad():
     # gamma0*u/gamma2 = 0.0005725*100/0.044
-    state = simulate_constant(G1, u=100.0, duration=600.0, dt=0.065)
-    assert abs(state.theta - 1.3011363636363636) < 1e-4
+    theta, _ = simulate_constant(G1, u=100.0, duration=600.0, dt=0.065)
+    assert abs(theta - 1.3011363636363636) < 1e-4
 
 
 def test_full_pwm_reaches_saturated_angle_fe():
-    state = simulate_constant(G2, u=100.0, duration=600.0, dt=0.065)
-    assert abs(state.theta - 0.8985045354253493) < 1e-6
+    theta, _ = simulate_constant(G2, u=100.0, duration=600.0, dt=0.065)
+    assert abs(theta - 0.8985045354253493) < 1e-6
 
 
 def test_step_matches_closed_form_response():
     for tf in (G1, G2):
-        state = PlantState(theta=0.0, theta_dot=0.0)
+        state = (0.0, 0.0)
         dt = 0.05
         for i in range(400):
             state = step(state, tf, u=50.0, rho=0.0, dt=dt)
@@ -88,10 +86,10 @@ def test_step_matches_closed_form_response():
 
 def test_disturbance_adds_to_input():
     # rho enters exactly like u, so (u=30, rho=20) must equal (u=50, rho=0)
-    a = simulate_constant(G1, u=30.0, duration=5.0, dt=0.065, rho=20.0)
-    b = simulate_constant(G1, u=50.0, duration=5.0, dt=0.065, rho=0.0)
-    assert a.theta == b.theta
-    assert a.theta_dot == b.theta_dot
+    a_theta, a_theta_dot = simulate_constant(G1, u=30.0, duration=5.0, dt=0.065, rho=20.0)
+    b_theta, b_theta_dot = simulate_constant(G1, u=50.0, duration=5.0, dt=0.065, rho=0.0)
+    assert a_theta == b_theta
+    assert a_theta_dot == b_theta_dot
 
 
 def test_dc_gain_values():
@@ -102,11 +100,11 @@ def test_dc_gain_values():
 
 def test_equilibrium_invariance_property():
     rng = np.random.default_rng(7)
-    state = PlantState(theta=0.0, theta_dot=0.0)
+    state = (0.0, 0.0)
     for _ in range(50):
         dt = float(rng.uniform(0.001, 0.5))
-        nxt = PlantState._make(step(state, G1, u=0.0, rho=0.0, dt=dt))
-        assert nxt.theta == 0.0 and nxt.theta_dot == 0.0
+        theta, theta_dot = step(state, G1, u=0.0, rho=0.0, dt=dt)
+        assert theta == 0.0 and theta_dot == 0.0
 
 
 def test_final_value_property():
@@ -120,9 +118,9 @@ def test_final_value_property():
         )
         u = float(rng.uniform(10.0, 100.0))
         horizon = 10.0 / abs(np.roots([1.0, tf.gamma1, tf.gamma2])[0].real)
-        state = simulate_constant(tf, u, duration=horizon, dt=0.065)
+        theta, _ = simulate_constant(tf, u, duration=horizon, dt=0.065)
         target = dc_gain(tf) * u
-        assert abs(state.theta - target) <= 1e-3 * abs(target)
+        assert abs(theta - target) <= 1e-3 * abs(target)
 
 
 def test_rk4_order_of_accuracy():
@@ -131,9 +129,8 @@ def test_rk4_order_of_accuracy():
     dts = np.array([0.4, 0.2, 0.1, 0.05])
     errs = []
     for dt in dts:
-        state = PlantState(theta=0.0, theta_dot=0.0)
-        nxt = PlantState._make(step(state, tf, u=10.0, rho=0.0, dt=float(dt)))
-        errs.append(abs(nxt.theta - closed_form_step(tf, 10.0, float(dt))))
+        theta, _ = step((0.0, 0.0), tf, u=10.0, rho=0.0, dt=float(dt))
+        errs.append(abs(theta - closed_form_step(tf, 10.0, float(dt))))
     slope = np.polyfit(np.log(dts), np.log(np.array(errs)), 1)[0]
     assert slope >= 3.5
 
@@ -145,7 +142,7 @@ def test_linearity_of_response():
     u2 = rng.uniform(0.0, 100.0, size=n)
 
     def run(u_seq):
-        state = PlantState(theta=0.0, theta_dot=0.0)
+        state = (0.0, 0.0)
         out = np.empty(n)
         for i in range(n):
             state = step(state, G1, float(u_seq[i]), 0.0, 0.065)

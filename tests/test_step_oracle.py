@@ -1,9 +1,10 @@
 """The per-tick layers against their frozen-dataclass originals, bit for bit.
 
-gpi.control_step and plant.step run on floats and take their states as any
-tuple in the ControllerState/PlantState field order; they return plain
-tuples in that order. The dataclass versions they replaced are kept below,
-unchanged, as the oracle:
+gpi.control_step and plant.step run on floats. control_step takes its state
+as any tuple in ControllerState's field order and returns a plain tuple in
+that order; plant.step takes and returns a plain (theta, theta_dot) pair.
+The dataclass versions they replaced are kept below, unchanged, as the
+oracle:
 OracleControllerState/oracle_control_step (with the attribute-access
 feedforward) and OraclePlantState/oracle_step. Whole closed-loop runs over
 random designs, plants, saturation bounds, references, noise, rho and dt
@@ -28,7 +29,6 @@ from shouldersim import (
     ControllerState,
     GpiDesign,
     IoRecord,
-    PlantState,
     RefSample,
     SaturationLimits,
     SecondOrderTf,
@@ -132,6 +132,11 @@ def oracle_step(state, tf, u, rho, dt):
     return OraclePlantState(theta=theta, theta_dot=theta_dot)
 
 
+def pair(theta, theta_dot):
+    """The plain (theta, theta_dot) state that run_scenario starts plant.step from."""
+    return theta, theta_dot
+
+
 def fields_of(state):
     return astuple(state) if is_dataclass(state) else tuple(state)
 
@@ -192,7 +197,7 @@ def loop_cases(draw):
 def test_control_step_and_step_equal_the_dataclass_oracle(case, as_refsample):
     want = closed_loop(OracleControllerState, oracle_control_step, OraclePlantState, oracle_step,
                        case, RefSample._make)
-    got = closed_loop(ControllerState, control_step, PlantState, step, case,
+    got = closed_loop(ControllerState, control_step, pair, step, case,
                       RefSample._make if as_refsample else tuple)
     assert got == want
 
@@ -207,11 +212,11 @@ def test_successors_are_plain_tuples_and_rewrapping_them_changes_nothing(case):
 
     def step_rewrapped(*args):
         nxt = step(*args)
-        assert type(nxt) is tuple and len(nxt) == len(PlantState._fields)
-        return PlantState._make(nxt)
+        assert type(nxt) is tuple and len(nxt) == 2
+        return nxt
 
-    plain = closed_loop(ControllerState, control_step, PlantState, step, case, tuple)
-    rewrapped = closed_loop(ControllerState, control_step_rewrapped, PlantState, step_rewrapped,
+    plain = closed_loop(ControllerState, control_step, pair, step, case, tuple)
+    rewrapped = closed_loop(ControllerState, control_step_rewrapped, pair, step_rewrapped,
                             case, tuple)
     assert rewrapped == plain
 
@@ -233,7 +238,7 @@ def test_step_raises_where_the_oracle_state_was_rejected(theta, theta_dot, u, dt
     except ValueError:
         want = ValueError
     try:
-        got = repr(tuple(step(PlantState(theta, theta_dot), tf, u, 0.0, dt)))
+        got = repr(tuple(step((theta, theta_dot), tf, u, 0.0, dt)))
     except ValueError:
         got = ValueError
     assert got == want
@@ -314,7 +319,7 @@ def test_control_step_guards_raise_where_isfinite_rejects(theta_meas, dt, first_
 @settings(max_examples=300)
 @given(u=any_float, rho=any_float, dt=any_float)
 def test_step_guards_raise_where_isfinite_rejects(u, rho, dt):
-    state = PlantState(0.3, -0.02)
+    state = (0.3, -0.02)
     if dt <= 0.0 or not math.isfinite(dt):
         want = f"dt must be > 0, got {dt!r}"
     elif not (math.isfinite(u) and math.isfinite(rho)):
