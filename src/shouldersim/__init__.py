@@ -8,7 +8,6 @@ transfer-function identification.
 """
 from .plant import DisturbanceSpec, SecondOrderTf, dc_gain, step
 from .gpi import (
-    ControllerState,
     GpiDesign,
     GpiGains,
     SaturationLimits,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +95,11 @@ def _cmd_teach(args) -> int:
     if args.out is None:
         print("error: --repeat requires --out", file=sys.stderr)
         return 1
-    bundled = harness.load_scenario(presets.scenario_dir() / "teach_repeat.json")
-    abad = replace(bundled.joints["abad"], reference=ref)
-    scenario = replace(bundled, joints={"abad": abad}, duration=max(duration, DEFAULT_DT))
+    # the bundled teach_repeat scenario with this demonstration: the abad presets at DEFAULT_DT
+    abad = harness.JointConfig(
+        presets.ABAD_PLANT, presets.ABAD_DESIGN, presets.ABAD_LIMITS, presets.DEFAULT_SATURATION, ref
+    )
+    scenario = harness.Scenario(joints={"abad": abad}, duration=max(duration, DEFAULT_DT))
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,27 +80,6 @@ class SaturationLimits:
         # -0.0 included, without the two builtin calls.
         lo, hi = self.u_min, self.u_max
         return lo if u < lo else (hi if u > hi else u)
-
-
-class ControllerState(NamedTuple):
-    """Running state of one control loop; not validated per instance.
-
-    int_e and dint_e are the trapezoidal estimates of the single and double
-    integrals of the tracking error; theta_int is the trapezoidal integral of
-    the applied input (the velocity reconstruction source). e0 is the initial
-    tracking error offset used by the proportional term; None means "capture
-    the first measured error". theta_dot0 is the initial velocity estimate
-    subtracted in the reconstruction. u_prev/e_prev hold the previous tick's
-    values for the trapezoidal updates.
-    """
-
-    int_e: float = 0.0
-    dint_e: float = 0.0
-    theta_int: float = 0.0
-    e0: Optional[float] = None
-    theta_dot0: float = 0.0
-    u_prev: Optional[float] = None
-    e_prev: Optional[float] = None
 
 
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
@@ -166,7 +144,7 @@ def feedforward(tf: SecondOrderTf, ref: RefSample) -> float:
 
 
 def control_step(
-    cs: ControllerState,
+    cs,
     gains: GpiGains,
     tf: SecondOrderTf,
     theta_meas: float,
@@ -176,14 +154,20 @@ def control_step(
 ):
     """One tick of the discrete GPI law. Returns (u, successor state).
 
-    cs is any tuple in ControllerState's field order, and the successor is
-    a plain tuple in that order.
+    cs is None on the first tick and, after that, the successor the previous
+    tick returned: the plain tuple (int_e, dint_e, theta_int, e0, theta_dot0,
+    u_prev, e_prev). int_e and dint_e are the trapezoidal single and double
+    integrals of the tracking error, theta_int that of the applied input (the
+    velocity reconstruction source), e0 the initial error offset of the
+    proportional term, theta_dot0 the initial velocity estimate subtracted in
+    the reconstruction, and u_prev/e_prev the previous tick's input and error.
 
     ref is any (theta_d, theta_dot_d, theta_ddot_d) triple of floats. All
     integrals advance by the trapezoidal rule over the interval h since the
     previous tick. The first tick has no preceding interval: it is the
-    h = 0 case, so the integrals keep their initial values and the implicit
-    correction vanishes. When the raw command exceeds the saturation
+    h = 0 case, so the integrals stay at 0 and the implicit correction
+    vanishes, and it captures e0 and theta_dot0 from its own error and
+    reference velocity. When the raw command exceeds the saturation
     limits, the error integrals are frozen for that tick (conditional
     integration anti-windup) while theta_int keeps integrating the actually
     applied, clamped input.
@@ -194,18 +178,18 @@ def control_step(
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be > 0, got {dt!r}")
 
-    int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
     theta_d, theta_dot_d, _ = ref
     e = theta_meas - theta_d
-    if e0 is None:
-        e0 = e
+    if cs is None:
+        int_e_prev = dint_e_prev = theta_int_prev = h = u_prev = 0.0
+        e0 = e_prev = e
+        theta_dot0 = theta_dot_d
+    else:
+        int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
+        h = dt
     u_d = feedforward(tf, ref)
     k0, k1, k2, k3 = gains.k0, gains.k1, gains.k2, gains.k3
 
-    if u_prev is None:
-        h, e_prev, u_prev = 0.0, e, 0.0
-    else:
-        h = dt
     int_e = int_e_prev + 0.5 * h * (e_prev + e)
     dint_e = dint_e_prev + 0.5 * h * (int_e_prev + int_e)
     theta_int_known = theta_int_prev + 0.5 * h * u_prev

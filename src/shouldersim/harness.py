@@ -12,8 +12,9 @@ A taught demonstration is read and validated once, when its TeachRef is
 built, so a malformed demonstration fails load_scenario with its file and
 line. A run reads no files: it is a function of the Scenario value alone.
 
-Per tick the runner samples the reference, clamps it to the joint limits,
-reads the plant angle (plus optional uniform noise), runs the control law and
+Per joint the runner samples the whole reference, clamps it to the joint
+limits and draws the measurement noise, each once, on arrays. Then per tick
+it reads the plant angle (plus that tick's noise), runs the control law and
 advances the plant by one RK4 step with the applied, saturated command.
 """
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import numbers
 import os
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -32,7 +34,6 @@ import numpy as np
 
 from . import plotting
 from .gpi import (
-    ControllerState,
     GpiDesign,
     SaturationLimits,
     compute_gains,
@@ -52,6 +53,8 @@ from .trajectory import (
 )
 
 SETTLE_BAND = 0.03
+# Noise is drawn from [-a, a]: a larger amplitude overflows the width 2a of that range.
+_MAX_NOISE = sys.float_info.max / 2.0
 # Joint names become file names and SVG ids, so they are kept to safe characters.
 _JOINT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -141,8 +144,8 @@ class Scenario:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ValueError(f"duration must be >= dt, got {self.duration!r}")
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
-            raise ValueError(f"noise amplitude must be finite and >= 0, got {self.noise_amplitude!r}")
+        if not 0.0 <= self.noise_amplitude <= _MAX_NOISE:
+            raise ValueError(f"noise amplitude must be in [0, {_MAX_NOISE!r}], got {self.noise_amplitude!r}")
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -249,7 +252,7 @@ def run_scenario(s: Scenario) -> SimResult:
         theta_meas = np.empty(n)
         u_log = np.empty(n)
         state = (float(ref.theta_d[0]), 0.0)
-        cs = ControllerState(theta_dot0=float(ref.theta_dot_d[0]))
+        cs = None
         ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
         try:
             for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
@@ -269,6 +272,7 @@ def run_scenario(s: Scenario) -> SimResult:
     return SimResult(series=series, metrics=metrics)
 
 
+@np.errstate(over="ignore")  # an error too large to square gives an infinite mse, not a warning
 def compute_metrics(series: JointSeries) -> Metrics:
     """Tracking metrics of one joint's logged series."""
     e = series.e
@@ -348,9 +352,9 @@ def export_plot(r: SimResult, path) -> Path:
 
 
 def metrics_to_dict(metrics: Dict[str, Metrics]) -> dict:
-    """JSON-friendly form of per-joint metrics (infinite settle time -> None)."""
+    """Strict-JSON form of per-joint metrics: a non-finite value becomes None (null)."""
     return {
-        joint: {**asdict(m), "settle_time": None if math.isinf(m.settle_time) else m.settle_time}
+        joint: {name: value if math.isfinite(value) else None for name, value in asdict(m).items()}
         for joint, m in metrics.items()
     }
 
@@ -363,7 +367,7 @@ def write_artifacts(r: SimResult, out_dir) -> List[Path]:
     out_dir = Path(out_dir)
     metrics_path = out_dir / "metrics.json"
     paths = [*export_csv(r, out_dir), export_plot(r, out_dir / "plot.svg"), metrics_path]
-    _atomic_write(metrics_path, json.dumps(metrics_to_dict(r.metrics), indent=2) + "\n")
+    _atomic_write(metrics_path, json.dumps(metrics_to_dict(r.metrics), indent=2, allow_nan=False) + "\n")
     return paths
 
 

@@ -153,6 +153,31 @@ def test_run_rejects_non_finite_noise(tmp_path, capsys):
     assert err.startswith("error:") and "noise amplitude" in err
 
 
+def test_run_rejects_a_noise_amplitude_whose_range_overflows(tmp_path, capsys):
+    # uniform(-a, a) needs a finite width 2a
+    err = run_edited_scenario(tmp_path, capsys, lambda d: d.update(noise_amplitude=1e308)).err
+    assert err == f"error: noise amplitude must be in [0, {sys.float_info.max / 2!r}], got 1e+308\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_writes_strict_json_metrics_when_the_error_overflows(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "reach_q1.json").read_text())
+    data["noise_amplitude"] = 1e200  # e * e overflows: mse and rmse are infinite
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text(), parse_constant=reject)
+    for m in metrics.values():
+        assert m["mse"] is None and m["rmse"] is None and m["settle_time"] is None
+        assert m["max_abs_error"] > 1e199
+
+
 def test_sysid_recovers_plant(tmp_path, capsys):
     truth = presets.ABAD_PLANT
     n = 2000
@@ -213,8 +238,8 @@ def test_teach_repeat_reads_the_demonstration_once(tmp_path, capsys):
         rc = main(["teach", "--record", str(mine), "--repeat", "--out", str(tmp_path / "out")])
     assert rc == 0, capsys.readouterr().err
     reads = Counter(Path(call.args[0]).resolve() for call in read.call_args_list)
-    # the user's file once; the bundled demo once, when teach_repeat.json is loaded for its plant and design
-    assert reads == {mine.resolve(): 1, (SCENARIOS / "taught_demo.csv").resolve(): 1}
+    # the user's file once; the bundled demo not at all
+    assert reads == Counter({mine.resolve(): 1, (SCENARIOS / "taught_demo.csv").resolve(): 0})
 
 
 def one_line_error(capsys, argv):

@@ -25,12 +25,17 @@ from shouldersim.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "bundled_outputs.json"
 
 
+def file_digests(out_dir):
+    """SHA-256 of every file in out_dir, by file name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(Path(out_dir).iterdir())}
+
+
 def record(name, out_dir):
     """SHA-256 of every file that `shouldersim run` writes for bundled scenario `name`."""
     scenario = presets.scenario_dir() / f"{name}.json"
     rc = main(["run", "--scenario", str(scenario), "--out", str(out_dir)])
     assert rc == 0, name
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(Path(out_dir).iterdir())}
+    return file_digests(out_dir)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,13 @@ def test_golden_file_covers_every_bundled_scenario(golden):
 @pytest.mark.parametrize("name", presets.bundled_scenarios())
 def test_bundled_outputs_match_golden(golden, name, tmp_path, capsys):
     assert record(name, tmp_path) == golden[name]
+
+
+def test_teach_repeat_of_the_bundled_demo_writes_the_teach_repeat_scenario_outputs(golden, tmp_path, capsys):
+    demo = presets.scenario_dir() / "taught_demo.csv"
+    rc = main(["teach", "--record", str(demo), "--repeat", "--out", str(tmp_path)])
+    assert rc == 0
+    assert file_digests(tmp_path) == golden["teach_repeat"]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ meant to alter the simulated numbers, and say so in CHANGES.md) with
 Tolerances by reference kind:
 
 - sine: exact. The sine scenarios are chaotic while the saturation limit
-  cycle (ROADMAP Open item 2) is open: a roundoff-level change of operation
+  cycle (ROADMAP item 1) is open: a roundoff-level change of operation
   order has moved them by up to 0.26 rad, so any difference at all means the
   per-tick arithmetic changed and only bit-identity proves it did not.
 - teach: exact. Its reference comes from the numpy resampling in

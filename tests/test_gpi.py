@@ -1,9 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shouldersim import (
-    ControllerState,
     GpiDesign,
     GpiGains,
     JointConfig,
@@ -31,11 +32,23 @@ S2_DESIGN = GpiDesign(xi=0.9, wn=10.25)
 WIDE = SaturationLimits(u_min=-1e9, u_max=1e9)
 
 
+class State(NamedTuple):
+    """control_step's successor tuple, in its documented field order, read by name."""
+
+    int_e: float
+    dint_e: float
+    theta_int: float
+    e0: float
+    theta_dot0: float
+    u_prev: float
+    e_prev: float
+
+
 def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=None, rho=0.0):
     gains = compute_gains(design, tf)
     n = int(round(duration / dt)) + 1
     state = (theta0, 0.0)
-    cs = ControllerState()
+    cs = None
     e_log = np.empty(n)
     u_log = np.empty(n)
     for i in range(n):
@@ -144,13 +157,18 @@ def test_feedforward_examples():
 
 def test_perfect_tracking_returns_feedforward():
     # with zero error, zero integrals and the reconstruction pinned at the
-    # reference velocity, every correction term vanishes and u equals u_d
+    # reference velocity, every correction term vanishes and u equals u_d.
+    # A mid-run state: the tick adds half of u_prev and half of u to
+    # theta_int, so it starts half a step of u_d short of theta_dot_d
     gains = compute_gains(S1_DESIGN, G1)
+    dt = 0.065
     for t in (0.0, 2.5, 5.0, 7.75):
         ref = quintic_eval(0.1745, 0.6981, 10.0, t)
-        cs = ControllerState(e0=0.0, theta_dot0=0.0, theta_int=ref.theta_dot_d)
-        u, _ = control_step(cs, gains, G1, ref.theta_d, ref, 0.065, WIDE)
-        assert abs(u - feedforward(G1, ref)) < 1e-12
+        u_d = feedforward(G1, ref)
+        cs = State(int_e=0.0, dint_e=0.0, theta_int=ref.theta_dot_d - 0.5 * dt * u_d,
+                   e0=0.0, theta_dot0=0.0, u_prev=0.0, e_prev=0.0)
+        u, _ = control_step(cs, gains, G1, ref.theta_d, ref, dt, WIDE)
+        assert abs(u - u_d) < 1e-12
 
 
 def test_constant_error_pure_proportional():
@@ -158,7 +176,7 @@ def test_constant_error_pure_proportional():
     tf = SecondOrderTf(1.0, 0.0, 1.0)
     ref = RefSample(0.0, 0.0, 0.0)
     sat = SaturationLimits(-10.0, 10.0)
-    cs = ControllerState(e0=0.0)
+    cs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # mid-run, at rest, with e0 = 0
     for _ in range(20):
         u, cs = control_step(cs, gains, tf, 0.1, ref, 0.065, sat)
         assert abs(u - (-0.1)) < 1e-15
@@ -171,28 +189,31 @@ def test_trapezoidal_integrals_exact():
     ref = RefSample(0.0, 0.0, 0.0)
     dt, n = 0.25, 16
 
-    cs = ControllerState(e0=0.0)
+    cs = None
     for _ in range(n + 1):
         _, cs = control_step(cs, gains, tf, 2.0, ref, dt, WIDE)
-    cs = ControllerState._make(cs)
+    cs = State._make(cs)
     assert cs.int_e == 2.0 * n * dt
     assert cs.dint_e == 2.0 * (n * dt) ** 2 / 2.0
 
-    cs = ControllerState(e0=0.0)
+    cs = None
     for i in range(n + 1):
         _, cs = control_step(cs, gains, tf, i * dt, ref, dt, WIDE)
-    cs = ControllerState._make(cs)
+    cs = State._make(cs)
     assert cs.int_e == (n * dt) ** 2 / 2.0
 
 
 def test_first_tick_captures_initial_error():
     gains = compute_gains(S1_DESIGN, G1)
-    ref = RefSample(0.5, 0.0, 0.0)
-    cs = ControllerState()
-    nxt = ControllerState._make(control_step(cs, gains, G1, 0.41, ref, 0.065, WIDE)[1])
+    ref = RefSample(0.5, 0.3, 0.0)
+    u, nxt = control_step(None, gains, G1, 0.41, ref, 0.065, WIDE)
+    nxt = State._make(nxt)
     assert nxt.e0 == pytest.approx(-0.09)
+    # it also captures the reference velocity, and as the h = 0 case it
+    # leaves every integral at 0
+    assert nxt == (0.0, 0.0, 0.0, nxt.e0, 0.3, u, nxt.e0)
     # the captured offset persists
-    nxt2 = ControllerState._make(control_step(nxt, gains, G1, 0.5, ref, 0.065, WIDE)[1])
+    nxt2 = State._make(control_step(nxt, gains, G1, 0.5, ref, 0.065, WIDE)[1])
     assert nxt2.e0 == nxt.e0
 
 
@@ -200,14 +221,14 @@ def test_rejects_non_finite_measurement():
     gains = compute_gains(S1_DESIGN, G1)
     ref = RefSample(0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="non-finite measurement rejected"):
-        control_step(ControllerState(), gains, G1, float("nan"), ref, 0.065, WIDE)
+        control_step(None, gains, G1, float("nan"), ref, 0.065, WIDE)
 
 
 def test_saturation_safety_property():
     rng = np.random.default_rng(23)
     sat = SaturationLimits(0.0, 100.0)
     gains = compute_gains(S1_DESIGN, G1)
-    cs = ControllerState()
+    cs = None
     for _ in range(300):
         ref = RefSample(float(rng.uniform(0.0, 1.4)), float(rng.uniform(-1, 1)),
                         float(rng.uniform(-1, 1)))
@@ -220,11 +241,11 @@ def test_anti_windup_freezes_error_integrals():
     gains = compute_gains(S1_DESIGN, G1)
     sat = SaturationLimits(0.0, 100.0)
     ref = RefSample(0.5, 0.0, 0.0)
-    cs = ControllerState._make(control_step(ControllerState(), gains, G1, 0.5, ref, 0.065, sat)[1])
+    cs = State._make(control_step(None, gains, G1, 0.5, ref, 0.065, sat)[1])
 
     # a large positive error drives u_raw far below u_min: clamped tick
     u, nxt = control_step(cs, gains, G1, 1.5, ref, 0.065, sat)
-    nxt = ControllerState._make(nxt)
+    nxt = State._make(nxt)
     assert u == 0.0
     assert nxt.int_e == cs.int_e
     assert nxt.dint_e == cs.dint_e
@@ -232,8 +253,8 @@ def test_anti_windup_freezes_error_integrals():
     assert nxt.theta_int == cs.theta_int + 0.5 * 0.065 * (cs.u_prev + u)
 
     # an unsaturated tick advances the error integrals by the trapezoid rule
-    cs = ControllerState._make(control_step(ControllerState(), gains, G1, 0.5, ref, 0.065, WIDE)[1])
-    nxt = ControllerState._make(control_step(cs, gains, G1, 0.5005, ref, 0.065, WIDE)[1])
+    cs = State._make(control_step(None, gains, G1, 0.5, ref, 0.065, WIDE)[1])
+    nxt = State._make(control_step(cs, gains, G1, 0.5005, ref, 0.065, WIDE)[1])
     assert nxt.int_e == pytest.approx(cs.int_e + 0.5 * 0.065 * (0.0 + 0.0005))
 
 

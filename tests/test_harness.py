@@ -487,6 +487,21 @@ def test_metric_sanity_properties():
         assert m.rmse**2 == pytest.approx(m.mse)
 
 
+@settings(deadline=None)
+@given(e=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60))
+@example(e=[1e200, -1e200])  # e * e overflows: mse and rmse are infinite
+def test_metrics_dict_is_strict_json(e):
+    # filterwarnings = error also makes an overflow warning from compute_metrics fail
+    e = np.array(e)
+    series = JointSeries(t=np.arange(len(e)) * 0.065, theta_d=np.zeros(len(e)), theta_meas=e,
+                         u=np.zeros(len(e)), e=e)
+    m = compute_metrics(series)
+    d = metrics_to_dict({"abad": m})
+    json.dumps(d, allow_nan=False)
+    for name, value in dataclasses.asdict(m).items():
+        assert d["abad"][name] == (value if math.isfinite(value) else None)
+
+
 def test_settle_time_meaning():
     r = run_scenario(load_scenario(bundled("reach_q2")))
     for joint, m in r.metrics.items():

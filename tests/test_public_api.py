@@ -4,8 +4,8 @@ import types
 import shouldersim
 
 PUBLIC_NAMES = [
-    "ArmLength", "ControllerState", "DEFAULT_DT", "DiscreteArx2", "DisturbanceSpec",
-    "GpiDesign", "GpiGains", "IoRecord", "JointConfig", "JointLimits", "JointSeries",
+    "ArmLength", "DEFAULT_DT", "DiscreteArx2", "DisturbanceSpec", "GpiDesign",
+    "GpiGains", "IoRecord", "JointConfig", "JointLimits", "JointSeries",
     "Metrics", "QuinticRef", "RefSample", "SaturationLimits", "Scenario", "SecondOrderTf",
     "ShoulderAngles", "SimResult", "SineRef", "TeachRef", "WristPosition",
     "build_reference", "clamp_to_limits", "closed_loop_char_poly", "compute_gains",

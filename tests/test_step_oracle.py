@@ -1,14 +1,15 @@
 """The per-tick layers against their frozen-dataclass originals, bit for bit.
 
-gpi.control_step and plant.step run on floats. control_step takes its state
-as any tuple in ControllerState's field order and returns a plain tuple in
-that order; plant.step takes and returns a plain (theta, theta_dot) pair.
-The dataclass versions they replaced are kept below, unchanged, as the
-oracle:
+gpi.control_step and plant.step run on floats. control_step starts from
+None and then takes back the plain 7-tuple it returned; plant.step takes and
+returns a plain (theta, theta_dot) pair. The dataclass versions they
+replaced are kept below, unchanged, as the oracle:
 OracleControllerState/oracle_control_step (with the attribute-access
-feedforward) and OraclePlantState/oracle_step. Whole closed-loop runs over
-random designs, plants, saturation bounds, references, noise, rho and dt
-must give the same u, measured angle, final states and errors.
+feedforward) and OraclePlantState/oracle_step. The oracle starts from
+OracleControllerState(theta_dot0=<the first reference velocity>), the state
+that control_step's None stands for. Whole closed-loop runs over random
+designs, plants, saturation bounds, references, noise, rho and dt must give
+the same u, measured angle, final states and errors.
 
 The oracle clamps with min(max(...)) and guards with math.isfinite, as the
 originals did; SaturationLimits.clamp and the per-tick guards use plain
@@ -20,13 +21,12 @@ import math
 import struct
 import sys
 from dataclasses import astuple, dataclass, is_dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from shouldersim import (
-    ControllerState,
     GpiDesign,
     IoRecord,
     RefSample,
@@ -141,14 +141,13 @@ def fields_of(state):
     return astuple(state) if is_dataclass(state) else tuple(state)
 
 
-def closed_loop(ctrl_state, ctrl, plant_state, plant, case, wrap_ref):
-    """The run_scenario loop; returns the log, the final states and the
-    tick and layer of the ValueError that ended it, if any. Floats are
-    logged as repr, so -0.0 and nan compare by their bits."""
+def closed_loop(cs, ctrl, plant_state, plant, case, wrap_ref):
+    """The run_scenario loop from controller state cs; returns the log, the
+    final states and the tick and layer of the ValueError that ended it, if
+    any. Floats are logged as repr, so -0.0 and nan compare by their bits."""
     gains = compute_gains(case["design"], case["tf"])
     refs, noise, rho, dt = case["refs"], case["noise"], case["rho"], case["dt"]
     state = plant_state(theta=refs[0][0], theta_dot=0.0)
-    cs = ctrl_state(e0=case["e0"], theta_dot0=refs[0][1])
     log, error = [], None
     for i, ref in enumerate(refs):
         meas = fields_of(state)[0] + noise[i]
@@ -185,7 +184,6 @@ def loop_cases(draw):
         "design": design,
         "sat": SaturationLimits(u_min, u_min + draw(st.floats(1.0, 300.0))),
         "dt": draw(st.floats(1e-3, 0.5)),
-        "e0": draw(st.none() | st.floats(-0.5, 0.5)),
         "refs": draw(st.lists(st.tuples(finite, finite, finite), min_size=n, max_size=n)),
         "noise": draw(st.lists(st.floats(-0.01, 0.01), min_size=n, max_size=n)),
         "rho": draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)),
@@ -195,9 +193,10 @@ def loop_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(case=loop_cases(), as_refsample=st.booleans())
 def test_control_step_and_step_equal_the_dataclass_oracle(case, as_refsample):
-    want = closed_loop(OracleControllerState, oracle_control_step, OraclePlantState, oracle_step,
+    oracle_start = OracleControllerState(theta_dot0=case["refs"][0][1])
+    want = closed_loop(oracle_start, oracle_control_step, OraclePlantState, oracle_step,
                        case, RefSample._make)
-    got = closed_loop(ControllerState, control_step, pair, step, case,
+    got = closed_loop(None, control_step, pair, step, case,
                       RefSample._make if as_refsample else tuple)
     assert got == want
 
@@ -205,19 +204,27 @@ def test_control_step_and_step_equal_the_dataclass_oracle(case, as_refsample):
 @settings(deadline=None, max_examples=100)
 @given(case=loop_cases())
 def test_successors_are_plain_tuples_and_rewrapping_them_changes_nothing(case):
+    class Successor(NamedTuple):  # control_step's documented field order
+        int_e: float
+        dint_e: float
+        theta_int: float
+        e0: float
+        theta_dot0: float
+        u_prev: float
+        e_prev: float
+
     def control_step_rewrapped(*args):
         u, nxt = control_step(*args)
-        assert type(nxt) is tuple and len(nxt) == len(ControllerState._fields)
-        return u, ControllerState._make(nxt)
+        assert type(nxt) is tuple and len(nxt) == len(Successor._fields)
+        return u, Successor._make(nxt)
 
     def step_rewrapped(*args):
         nxt = step(*args)
         assert type(nxt) is tuple and len(nxt) == 2
         return nxt
 
-    plain = closed_loop(ControllerState, control_step, pair, step, case, tuple)
-    rewrapped = closed_loop(ControllerState, control_step_rewrapped, pair, step_rewrapped,
-                            case, tuple)
+    plain = closed_loop(None, control_step, pair, step, case, tuple)
+    rewrapped = closed_loop(None, control_step_rewrapped, pair, step_rewrapped, case, tuple)
     assert rewrapped == plain
 
 
@@ -311,7 +318,7 @@ def test_control_step_guards_raise_where_isfinite_rejects(theta_meas, dt, first_
         want = f"dt must be > 0, got {dt!r}"
     else:
         want = None
-    cs = ControllerState() if first_tick else ControllerState(0.1, 0.01, 2.0, 0.0, 0.0, 50.0, 0.0)
+    cs = None if first_tick else (0.1, 0.01, 2.0, 0.0, 0.0, 50.0, 0.0)
     ref = (0.3, 0.01, 0.0)
     assert raised(lambda: control_step(cs, GAINS, TF, theta_meas, ref, dt, SAT)) == want
 
