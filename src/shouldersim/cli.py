@@ -93,8 +93,7 @@ def _cmd_teach(args) -> int:
     if not args.repeat:
         return 0
     if args.out is None:
-        print("error: --repeat requires --out", file=sys.stderr)
-        return 1
+        raise ValueError("--repeat requires --out")
     # the bundled teach_repeat scenario with this demonstration: the abad presets at DEFAULT_DT
     abad = harness.JointConfig(
         presets.ABAD_PLANT, presets.ABAD_DESIGN, presets.ABAD_LIMITS, presets.DEFAULT_SATURATION, ref

@@ -70,6 +70,8 @@ class QuinticRef:
     def __post_init__(self):
         if not (all(map(math.isfinite, (self.theta0, self.thetaf, self.T))) and self.T > 0.0):
             raise ValueError(f"quintic reference needs finite values and T > 0, got {self!r}")
+        if self.T * self.T == 0.0:  # quintic_eval divides by T * T
+            raise ValueError(f"quintic reference T = {self.T!r} is too small: T * T underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -197,19 +199,15 @@ class SimResult:
 def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
     """Sample a reference spec at ticks 0..n-1 as one RefSample of length-n arrays.
 
-    Taught demonstrations shorter than the run are held at their final angle
-    with zero velocity and acceleration. A reference that is not finite at
-    some tick (it overflowed) raises ValueError.
+    A reference that is not finite at some tick (it overflowed) raises
+    ValueError.
     """
     if isinstance(ref, QuinticRef):
         out = quintic_eval(ref.theta0, ref.thetaf, ref.T, np.arange(n) * dt)
     elif isinstance(ref, SineRef):
         out = sine_ref(ref.A, ref.f, ref.k, np.arange(n), dt)
     elif isinstance(ref, TeachRef):
-        taught = differentiate_teach(ref.demo, dt, smooth=ref.smooth)
-        pad = (0, max(n - len(taught.theta_d), 0))
-        rates = (np.pad(x[:n], pad) for x in taught[1:])
-        out = RefSample(np.pad(taught.theta_d[:n], pad, mode="edge"), *rates)
+        out = differentiate_teach(ref.demo, dt, n, smooth=ref.smooth)
     else:
         raise TypeError(f"unknown reference spec {type(ref).__name__}")
     for name, values in zip(RefSample._fields, out):
@@ -241,13 +239,10 @@ def run_scenario(s: Scenario) -> SimResult:
         except ValueError as ex:
             raise ValueError(f"joint {joint}: {ex}") from ex
 
-        rng = np.random.default_rng([s.seed, idx])
-        if s.noise_amplitude > 0.0:
-            noise = rng.uniform(-s.noise_amplitude, s.noise_amplitude, size=n)
-        else:
-            noise = np.zeros(n)
-        dist = cfg.disturbance
-        rho = np.zeros(n) if dist is None else np.where(t >= dist.onset - 1e-12, dist.magnitude, 0.0)
+        a = abs(s.noise_amplitude)  # Scenario accepts -0.0, and uniform(0.0, -0.0) is rejected
+        noise = np.random.default_rng([s.seed, idx]).uniform(-a, a, size=n)
+        dist = cfg.disturbance or DisturbanceSpec(0.0, 0.0)
+        rho = np.where(t >= dist.onset - 1e-12, dist.magnitude, 0.0)
 
         theta_meas = np.empty(n)
         u_log = np.empty(n)

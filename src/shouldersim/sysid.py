@@ -119,6 +119,8 @@ def to_continuous(d: DiscreteArx2, ts: float) -> SecondOrderTf:
     if abs(edge) < 1e-12:
         raise ValueError("Tustin singularity")
     c = (ts * ts / 4.0) * edge
+    if c == 0.0:
+        raise ValueError(f"ts = {ts!r} is too small: ts * ts / 4 * (1 - a1 + a2) underflows to 0")
     return SecondOrderTf(
         gamma0=d.b0 / c,
         gamma1=ts * (1.0 - d.a2) / c,

@@ -54,8 +54,8 @@ def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     s = t/T has zero velocity and acceleration at both ends. Outside [0, T]
     the nearest boundary sample is held. t is a float or an array of times.
     """
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T!r}")
+    if T <= 0 or T * T == 0.0:
+        raise ValueError(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")
     s = np.clip(t, 0.0, T) / T
     r = 1.0 - s
     d = thetaf - theta0
@@ -66,7 +66,7 @@ def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     )
 
 
-def sine_ref(A: float, f: float, k: float, t, dt: float = DEFAULT_DT) -> RefSample:
+def sine_ref(A: float, f: float, k: float, t, dt: float) -> RefSample:
     """Offset sine reference theta_d = (A/2) sin(f*t + k) + A/2.
 
     t is the controller tick index (or an array of them) and f, k are
@@ -109,8 +109,8 @@ def record_teach(samples) -> np.ndarray:
     return data
 
 
-def differentiate_teach(demo: np.ndarray, dt: float, smooth: bool = False) -> RefSample:
-    """Resample a record_teach demonstration onto a uniform dt grid and estimate acceleration.
+def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = False) -> RefSample:
+    """Resample a record_teach demonstration onto a run's n ticks of dt and estimate acceleration.
 
     Angle and velocity are linearly interpolated; acceleration comes from
     central finite differences of the resampled velocity, with one-sided
@@ -119,27 +119,31 @@ def differentiate_teach(demo: np.ndarray, dt: float, smooth: bool = False) -> Re
     before differencing (off by default: the raw pipeline is the baseline).
     Smoothing needs at least 5 grid samples: below that, smooth=True returns
     the raw velocity, without a warning. The demonstration must last at least
-    one tick.
+    one tick. One longer than the run replays its first n ticks; past the end
+    of a shorter one the reference is held at its final angle with zero
+    velocity and acceleration.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     duration = float(demo[-1, 0]) - float(demo[0, 0])
-    n = int(math.floor(duration / dt + 1e-9)) + 1
-    if n < 2:
+    # ticks n..n+2 feed only tick n-1's central difference and 5-tap window: n + 3 points suffice
+    m = math.floor(min(duration / dt + 1e-9, n + 2)) + 1
+    if m < 2:
         raise ValueError(f"demonstration lasts {duration!r} s, shorter than one tick of {dt!r} s")
     t_src = demo[:, 0] - demo[0, 0]
-    t_grid = np.arange(n) * dt
+    t_grid = np.arange(m) * dt
     theta = np.interp(t_grid, t_src, demo[:, 1])
     theta_dot = np.interp(t_grid, t_src, demo[:, 2])
-    if smooth and n >= 5:
+    if smooth and m >= 5:
         kernel = np.ones(5) / 5.0
         padded = np.concatenate([theta_dot[2:0:-1], theta_dot, theta_dot[-2:-4:-1]])
         theta_dot = np.convolve(padded, kernel, mode="valid")
-    acc = np.empty(n)
+    acc = np.empty(m)
     acc[1:-1] = (theta_dot[2:] - theta_dot[:-2]) / (2.0 * dt)
     acc[0] = (theta_dot[1] - theta_dot[0]) / dt
     acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
-    return RefSample(theta_d=theta, theta_dot_d=theta_dot, theta_ddot_d=acc)
+    hold = (0, max(n - m, 0))
+    return RefSample(np.pad(theta[:n], hold, mode="edge"), np.pad(theta_dot[:n], hold), np.pad(acc[:n], hold))
 
 
 def clamp_to_limits(ref: RefSample, lim: JointLimits) -> RefSample:

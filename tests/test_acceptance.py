@@ -267,11 +267,11 @@ def test_criterion_09_teach_round_trip():
     for tick in range(154):
         s = sine_ref(0.8, 2.2e-3, 300.0, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt)
-    assert len(refs.theta_d) == 154
+    refs = differentiate_teach(record_teach(demo), dt=dt, n=160)
+    assert refs.theta_dot_d[153] != 0.0 and not np.any(refs.theta_dot_d[154:])  # the hold begins at tick 154
     worst_grid = max(
         abs(theta - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt).theta_d)
-        for i, theta in enumerate(refs.theta_d)
+        for i, theta in enumerate(refs.theta_d[:154])
     )
 
     # off-grid demonstration sampled at 10 ms, replayed on the control grid
@@ -280,11 +280,11 @@ def test_criterion_09_teach_round_trip():
         t = i * 0.01
         s = quintic_eval(0.3, 0.42, 6.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt)
-    assert len(refs.theta_d) == 93
+    refs = differentiate_teach(record_teach(demo), dt=dt, n=100)
+    assert refs.theta_dot_d[92] != 0.0 and not np.any(refs.theta_dot_d[93:])  # the hold begins at tick 93
     worst_offgrid = max(
         abs(theta - quintic_eval(0.3, 0.42, 6.0, i * dt).theta_d)
-        for i, theta in enumerate(refs.theta_d)
+        for i, theta in enumerate(refs.theta_d[:93])
     )
 
     ok = worst_grid <= 1e-3 and worst_offgrid <= 1e-3

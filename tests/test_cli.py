@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import shouldersim
-from shouldersim import IoRecord, multisine_profile, presets, simulate_record, trajectory
+from shouldersim import IoRecord, load_series_csv, multisine_profile, presets, simulate_record, trajectory
 from shouldersim.cli import main
 from shouldersim.kinematics import ArmLength, ShoulderAngles, forward
 
@@ -294,6 +294,17 @@ def test_sysid_rejects_record_sampled_at_another_period(tmp_path, capsys):
     assert printed_value(out, "gamma0") == pytest.approx(presets.ABAD_PLANT.gamma0, rel=0.01)
 
 
+def test_sysid_rejects_a_period_whose_square_underflows(tmp_path, capsys):
+    ts = 1e-170
+    u = multisine_profile(200, seed=3)
+    theta = simulate_record(presets.ABAD_PLANT, IoRecord(u=u, theta=np.zeros(200), ts=0.065))
+    path = tmp_path / "record.csv"
+    lines = ["t,u,theta"] + [f"{k * ts!r},{float(u[k])!r},{float(theta[k])!r}" for k in range(200)]
+    path.write_text("\n".join(lines) + "\n")
+    err = one_line_error(capsys, ["sysid", "--csv", str(path), "--ts", repr(ts)]).err
+    assert err == "error: ts = 1e-170 is too small: ts * ts / 4 * (1 - a1 + a2) underflows to 0\n"
+
+
 def test_teach_repeat_rejects_demo_shorter_than_one_tick(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("t,theta,theta_dot\n0.0,0.3,0.0\n0.01,0.31,0.1\n")
@@ -419,6 +430,50 @@ def test_run_names_the_joint_of_a_scenario_error(tmp_path, capsys, edit, message
     err = run_edited_scenario(tmp_path, capsys, edit, name="reach_q5").err
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_quintic_whose_square_duration_underflows(tmp_path, capsys):
+    err = run_edited_scenario(tmp_path, capsys, _edit_fe("reference", T=1e-300), name="reach_q5").err
+    assert err == "error: joint fe: quintic reference T = 1e-300 is too small: T * T underflows to 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _run_with_fe_teach(tmp_path, capsys, rows):
+    """Run reach_q5 with a demonstration of rows as fe's reference; returns its exit code."""
+    demo = tmp_path / "demo.csv"
+    demo.write_text("t,theta,theta_dot\n" + "".join(f"{t!r},{theta!r},{rate!r}\n" for t, theta, rate in rows))
+    data = json.loads((SCENARIOS / "reach_q5.json").read_text())
+    data["joints"]["fe"]["reference"] = {"kind": "teach", "file": str(demo)}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
+    return rc
+
+
+def test_run_replays_only_the_first_ticks_of_a_demonstration_far_longer_than_the_run(tmp_path, capsys):
+    # 1.5e16 ticks of 0.065 s: resampling the whole demonstration cannot be allocated
+    assert _run_with_fe_teach(tmp_path, capsys, [(0.0, 0.3, 0.0), (1e15, 0.4, 0.0)]) == 0
+    assert len(load_series_csv(tmp_path / "out" / "fe.csv").t) == 155
+
+
+def test_run_replays_a_demonstration_whose_duration_overflows(tmp_path, capsys):
+    # t[-1] - t[0] is infinite: the run's 155 ticks are still resampled
+    assert _run_with_fe_teach(tmp_path, capsys, [(-1e308, 0.3, 0.0), (1e308, 0.4, 0.0)]) == 0
+
+
+def test_run_with_negative_zero_noise_writes_the_bytes_of_zero_noise(tmp_path, capsys):
+    outputs = []
+    for amplitude in (0.0, -0.0):
+        data = json.loads((SCENARIOS / "reach_q1.json").read_text())
+        data["noise_amplitude"] = amplitude
+        path = tmp_path / f"{amplitude!r}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"out{amplitude!r}"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_run_names_the_joint_whose_teach_file_is_missing(tmp_path, capsys):

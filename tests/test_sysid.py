@@ -126,6 +126,12 @@ def test_to_continuous_flags_singular_poles():
         to_continuous(DiscreteArx2(a1=-1.8, a2=0.8, b0=0.1), TS)
 
 
+def test_to_continuous_rejects_a_period_whose_square_underflows():
+    # ts * ts / 4 * (1 - a1 + a2) is 0 below ts ~ 1e-162: every gamma would divide by it
+    with pytest.raises(ValueError, match=r"^ts = 1e-170 is too small: ts \* ts / 4 \* \(1 - a1 \+ a2\) underflows to 0$"):
+        to_continuous(discretize(G1, TS), 1e-170)
+
+
 def test_fit_percent_bounds():
     for y in (np.array([0.1, 0.4, -0.2, 0.9, 0.3]), make_record(G1, 700, seed=4).theta):
         assert fit_percent(y, y) == 100.0

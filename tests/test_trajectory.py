@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,16 +102,16 @@ def test_quintic_derivative_consistency():
 
 
 def test_sine_zero_phase_starts_at_half_amplitude():
-    s = sine_ref(A=1.0, f=1.6e-3, k=0.0, t=0.0)
+    s = sine_ref(A=1.0, f=1.6e-3, k=0.0, t=0.0, dt=DEFAULT_DT)
     assert s.theta_d == pytest.approx(0.5)
 
 
 def test_sine_case_a_initial_value_and_range():
     # tick-index time base: t counts controller ticks, wall time is t*dt
-    s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=0.0)
+    s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=0.0, dt=DEFAULT_DT)
     assert abs(s.theta_d - 0.00012208004942526607) < 1e-15
     for tick in range(0, 5000, 37):
-        s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=float(tick))
+        s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=float(tick), dt=DEFAULT_DT)
         assert 0.0 <= s.theta_d <= 1.0
 
 
@@ -118,7 +119,7 @@ def test_sine_crest():
     # f*t + k = pi/2 (mod 2 pi) puts the reference at its crest
     A, f, k = 1.0, 1.6e-3, 300.0
     t_crest = (math.pi / 2.0 - k + 2.0 * math.pi * 48) / f
-    s = sine_ref(A, f, k, t_crest)
+    s = sine_ref(A, f, k, t_crest, DEFAULT_DT)
     assert s.theta_d == pytest.approx(A)
     assert s.theta_dot_d == pytest.approx(0.0, abs=1e-12)
 
@@ -139,13 +140,13 @@ def test_sine_wall_clock_derivatives():
 
 def test_sine_rejects_non_positive_amplitude():
     with pytest.raises(ValueError):
-        sine_ref(A=0.0, f=1.6e-3, k=300.0, t=0.0)
+        sine_ref(A=0.0, f=1.6e-3, k=300.0, t=0.0, dt=DEFAULT_DT)
 
 
 def test_record_teach_constant_demo():
     tt = record_teach([(0.0, 0.2, 0.0), (5.0, 0.2, 0.0)])
     assert float(tt[-1, 0]) - float(tt[0, 0]) == 5.0
-    refs = differentiate_teach(tt, dt=0.065)
+    refs = differentiate_teach(tt, dt=0.065, n=77)  # a demonstration at rest shows no hold: n is its grid
     assert len(refs.theta_d) == 77
     assert refs.theta_d == pytest.approx(0.2)
     assert np.all(np.abs(refs.theta_ddot_d) < 1e-12)
@@ -154,11 +155,20 @@ def test_record_teach_constant_demo():
 def test_differentiate_teach_rejects_demo_shorter_than_one_tick():
     tt = record_teach([(0.0, 0.3, 0.0), (0.01, 0.31, 0.1)])
     with pytest.raises(ValueError, match=r"lasts 0\.01 s, shorter than one tick of 0\.065 s"):
-        differentiate_teach(tt, dt=0.065)
-    # exactly one tick long gives the two grid samples
-    refs = differentiate_teach(record_teach([(0.0, 0.3, 0.0), (0.065, 0.31, 0.1)]), dt=0.065)
-    assert refs.theta_d.tolist() == [0.3, 0.31]
-    assert refs.theta_ddot_d.tolist() == [0.1 / 0.065] * 2
+        differentiate_teach(tt, dt=0.065, n=10)
+    # exactly one tick long gives the two grid samples, then the hold
+    refs = differentiate_teach(record_teach([(0.0, 0.3, 0.0), (0.065, 0.31, 0.1)]), dt=0.065, n=4)
+    assert refs.theta_d.tolist() == [0.3, 0.31, 0.31, 0.31]
+    assert refs.theta_dot_d.tolist() == [0.0, 0.1, 0.0, 0.0]
+    assert refs.theta_ddot_d.tolist() == [0.1 / 0.065] * 2 + [0.0, 0.0]
+    assert_hold_from(refs, 2)
+
+
+def assert_hold_from(refs, k):
+    """The demonstration's grid ends at tick k - 1, still moving, and the hold at rest begins at tick k."""
+    assert refs.theta_dot_d[k - 1] != 0.0
+    assert np.all(refs.theta_d[k:] == refs.theta_d[k - 1])
+    assert not np.any(refs.theta_dot_d[k:]) and not np.any(refs.theta_ddot_d[k:])
 
 
 def test_record_teach_rejects_bad_streams():
@@ -185,9 +195,10 @@ def test_differentiate_linear_velocity():
     # theta_dot(t) = t has unit acceleration at every interior point
     ts = np.arange(0.0, 4.0 + 1e-9, 0.1)
     tt = record_teach([(t, 0.5 * t * t, t) for t in ts])
-    refs = differentiate_teach(tt, dt=0.1)
-    assert len(refs.theta_ddot_d) == 41
-    assert np.all(np.abs(refs.theta_ddot_d[1:-1] - 1.0) < 1e-9)
+    refs = differentiate_teach(tt, dt=0.1, n=50)
+    assert len(refs.theta_ddot_d) == 50
+    assert_hold_from(refs, 41)
+    assert np.all(np.abs(refs.theta_ddot_d[1:40] - 1.0) < 1e-9)
 
 
 def test_differentiate_sine_matches_analytic_acceleration():
@@ -196,9 +207,9 @@ def test_differentiate_sine_matches_analytic_acceleration():
     for tick in range(120):
         s = sine_ref(A, f, k, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt)
-    assert len(refs.theta_ddot_d) == 120
-    for tick, acc in enumerate(refs.theta_ddot_d[1:-1], start=1):
+    refs = differentiate_teach(record_teach(demo), dt=dt, n=130)
+    assert_hold_from(refs, 120)
+    for tick, acc in enumerate(refs.theta_ddot_d[1:119], start=1):
         truth = sine_ref(A, f, k, float(tick), dt)
         assert abs(acc - truth.theta_ddot_d) < 1e-8
 
@@ -210,9 +221,9 @@ def test_teach_replay_round_trip():
     for tick in range(100):
         s = sine_ref(A, f, k, float(tick), dt)
         demo.append((tick * dt, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt)
-    assert len(refs.theta_d) == 100
-    for tick, theta in enumerate(refs.theta_d):
+    refs = differentiate_teach(record_teach(demo), dt=dt, n=110)
+    assert_hold_from(refs, 100)
+    for tick, theta in enumerate(refs.theta_d[:100]):
         truth = sine_ref(A, f, k, float(tick), dt)
         assert abs(theta - truth.theta_d) < 1e-3
 
@@ -224,9 +235,9 @@ def test_teach_round_trip_from_offgrid_samples():
         t = i * 0.01
         s = quintic_eval(0.5, 0.58, 5.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=0.065)
-    assert len(refs.theta_d) == 77
-    for i, theta in enumerate(refs.theta_d):
+    refs = differentiate_teach(record_teach(demo), dt=0.065, n=80)
+    assert_hold_from(refs, 77)
+    for i, theta in enumerate(refs.theta_d[:77]):
         truth = quintic_eval(0.5, 0.58, 5.0, i * 0.065)
         assert abs(theta - truth.theta_d) < 1e-3
 
@@ -239,11 +250,12 @@ def test_smoothing_reduces_acceleration_noise():
         s = quintic_eval(0.3, 0.9, 8.0, t)
         demo.append((t, s.theta_d, s.theta_dot_d + rng.normal(0.0, 1e-3)))
     tt = record_teach(demo)
-    raw = differentiate_teach(tt, dt=0.065, smooth=False)
-    smoothed = differentiate_teach(tt, dt=0.065, smooth=True)
-    assert len(raw.theta_ddot_d) == len(smoothed.theta_ddot_d) == 124
-    std_raw = np.std(raw.theta_ddot_d[2:-2])
-    std_smooth = np.std(smoothed.theta_ddot_d[2:-2])
+    raw = differentiate_teach(tt, dt=0.065, n=130, smooth=False)
+    smoothed = differentiate_teach(tt, dt=0.065, n=130, smooth=True)
+    assert_hold_from(raw, 124)
+    assert_hold_from(smoothed, 124)
+    std_raw = np.std(raw.theta_ddot_d[2:122])
+    std_smooth = np.std(smoothed.theta_ddot_d[2:122])
     assert std_smooth < std_raw
 
 
@@ -277,7 +289,7 @@ def test_full_swing_sine_flattens_in_valleys():
     # flat valley segments seen in the tracked trajectories
     flat = 0
     for tick in range(4000):
-        s = clamp_to_limits(sine_ref(1.0, 1.6e-3, 300.0, float(tick)), S1_LIMITS)
+        s = clamp_to_limits(sine_ref(1.0, 1.6e-3, 300.0, float(tick), DEFAULT_DT), S1_LIMITS)
         assert s.theta_d >= 0.1745
         if s.theta_d == 0.1745:
             flat += 1
@@ -289,9 +301,9 @@ def test_smoothing_needs_five_grid_samples(n_grid):
     # below 5 grid samples smooth=True is the raw pipeline, bit for bit
     dt = 0.065
     tt = record_teach([(k * dt, 0.1 * k, (-1.0) ** k) for k in range(n_grid)])
-    raw = differentiate_teach(tt, dt=dt, smooth=False)
-    smoothed = differentiate_teach(tt, dt=dt, smooth=True)
-    assert len(raw.theta_d) == n_grid
+    raw = differentiate_teach(tt, dt=dt, n=n_grid + 3, smooth=False)
+    smoothed = differentiate_teach(tt, dt=dt, n=n_grid + 3, smooth=True)
+    assert_hold_from(raw, n_grid)
     same = all(np.array_equal(a, b) for a, b in zip(raw, smoothed))
     assert same == (n_grid < 5)
 
@@ -341,3 +353,62 @@ def test_array_references_equal_scalar_calls_bit_for_bit(theta0, thetaf, T, time
     ref = RefSample(np.array(theta_d), rates, 2.0 * rates)
     scalars = [RefSample(*r) for r in zip(theta_d, rates.tolist(), (2.0 * rates).tolist())]
     assert _same_bits(clamp_to_limits(ref, S1_LIMITS), [clamp_to_limits(r, S1_LIMITS) for r in scalars])
+
+
+def _whole_grid_then_hold(demo, dt, n, smooth):
+    """The oracle of differentiate_teach: resample the demonstration's whole grid, then
+    truncate it to n ticks or hold its final angle at rest up to n ticks."""
+    duration = float(demo[-1, 0]) - float(demo[0, 0])
+    m = int(math.floor(duration / dt + 1e-9)) + 1
+    if m < 2:
+        raise ValueError(f"demonstration lasts {duration!r} s, shorter than one tick of {dt!r} s")
+    t_src = demo[:, 0] - demo[0, 0]
+    t_grid = np.arange(m) * dt
+    theta = np.interp(t_grid, t_src, demo[:, 1])
+    theta_dot = np.interp(t_grid, t_src, demo[:, 2])
+    if smooth and m >= 5:
+        padded = np.concatenate([theta_dot[2:0:-1], theta_dot, theta_dot[-2:-4:-1]])
+        theta_dot = np.convolve(padded, np.ones(5) / 5.0, mode="valid")
+    acc = np.empty(m)
+    acc[1:-1] = (theta_dot[2:] - theta_dot[:-2]) / (2.0 * dt)
+    acc[0] = (theta_dot[1] - theta_dot[0]) / dt
+    acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
+    pad = (0, max(n - m, 0))
+    rates = (np.pad(x[:n], pad) for x in (theta_dot, acc))
+    return RefSample(np.pad(theta[:n], pad, mode="edge"), *rates)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    t0=st.floats(-100.0, 100.0),
+    rows=st.lists(st.tuples(st.floats(1e-3, 1.0), _ANGLE, st.floats(-5.0, 5.0)), min_size=2, max_size=60),
+    dt=st.floats(0.01, 0.5),
+    n=st.integers(2, 200),
+    smooth=st.booleans(),
+)
+def test_differentiate_teach_equals_the_whole_grid_then_hold_bit_for_bit(t0, rows, dt, n, smooth):
+    # irregular, offset timestamps; the run is shorter or longer than the demonstration
+    t = t0 + np.cumsum([gap for gap, _, _ in rows])
+    demo = record_teach([(ti, theta, rate) for ti, (_, theta, rate) in zip(t.tolist(), rows)])
+    try:
+        expected = _whole_grid_then_hold(demo, dt, n, smooth)
+    except ValueError as ex:
+        with pytest.raises(ValueError, match=re.escape(str(ex))):
+            differentiate_teach(demo, dt, n, smooth)
+        return
+    got = differentiate_teach(demo, dt, n, smooth)
+    assert np.stack(got).tobytes() == np.stack(expected).tobytes()
+
+
+def test_differentiate_teach_resamples_no_more_than_the_run():
+    # a 1e15 s demonstration has 1.5e16 grid points of 0.065 s; the run needs 155
+    demo = record_teach([(0.0, 0.3, 0.0), (1e15, 0.4, 0.0)])
+    refs = differentiate_teach(demo, 0.065, 155)
+    assert [len(x) for x in refs] == [155, 155, 155]
+    assert refs.theta_d[0] == 0.3 and np.all(refs.theta_d <= 0.4)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-162, 5e-324])
+def test_quintic_rejects_a_duration_whose_square_underflows(T):
+    with pytest.raises(ValueError, match=re.escape(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")):
+        quintic_eval(0.0, 1.0, T, 0.0)
