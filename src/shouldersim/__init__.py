@@ -9,7 +9,6 @@ transfer-function identification.
 from .plant import DisturbanceSpec, SecondOrderTf, dc_gain, step
 from .gpi import (
     GpiDesign,
-    GpiGains,
     SaturationLimits,
     closed_loop_char_poly,
     compute_gains,
@@ -37,7 +36,6 @@ from .kinematics import (
     inverse,
 )
 from .sysid import (
-    DiscreteArx2,
     IoRecord,
     decimate_record,
     estimate_tf,
@@ -51,7 +49,6 @@ from .sysid import (
 from .harness import (
     JointConfig,
     JointSeries,
-    Metrics,
     QuinticRef,
     Scenario,
     SimResult,

@@ -33,10 +33,10 @@ def _cmd_run(args) -> int:
     label = scenario.name or Path(args.scenario).stem
     print(f"scenario {label}: {scenario.n_samples} samples per joint")
     for joint, m in result.metrics.items():
-        settle = "never" if m.settle_time == float("inf") else f"{m.settle_time:.3f} s"
+        settle = "never" if m["settle_time"] == float("inf") else f"{m['settle_time']:.3f} s"
         print(
-            f"  {joint}: rmse {m.rmse:.6g} rad, max|e| {m.max_abs_error:.6g} rad, "
-            f"steady-state {m.steady_state_error:.6g} rad, settle {settle}"
+            f"  {joint}: rmse {m['rmse']:.6g} rad, max|e| {m['max_abs_error']:.6g} rad, "
+            f"steady-state {m['steady_state_error']:.6g} rad, settle {settle}"
         )
     for path in paths:
         print(f"  wrote {path}")
@@ -47,10 +47,8 @@ def _cmd_gains(args) -> int:
     design = GpiDesign(xi=args.xi, wn=args.wn)
     plant = SecondOrderTf(gamma0=args.g0, gamma1=args.g1, gamma2=args.g2)
     gains = compute_gains(design, plant)
-    print(f"k0 = {gains.k0!r}")
-    print(f"k1 = {gains.k1!r}")
-    print(f"k2 = {gains.k2!r}")
-    print(f"k3 = {gains.k3!r}")
+    for name, value in zip(("k0", "k1", "k2", "k3"), gains):
+        print(f"{name} = {value!r}")
     poles = np.sort_complex(np.roots(closed_loop_char_poly(gains, plant)))
     formatted = ", ".join(f"{p.real:.6f}{p.imag:+.6f}j" for p in poles)
     print(f"closed-loop poles: {formatted}")
@@ -102,7 +100,7 @@ def _cmd_teach(args) -> int:
     result = harness.run_scenario(scenario)
     paths = harness.write_artifacts(result, args.out)
     m = result.metrics["abad"]
-    print(f"repeat: rmse {m.rmse:.6g} rad, max|e| {m.max_abs_error:.6g} rad")
+    print(f"repeat: rmse {m['rmse']:.6g} rad, max|e| {m['max_abs_error']:.6g} rad")
     for path in paths:
         print(f"  wrote {path}")
     return 0

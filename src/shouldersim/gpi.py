@@ -46,23 +46,6 @@ class GpiDesign:
 
 
 @dataclass(frozen=True)
-class GpiGains:
-    """Controller gains k0..k3. Finite by construction; compute_gains
-    additionally guarantees k0 > 0 and k3 > 0 for valid designs."""
-
-    k0: float
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self):
-        for name in ("k0", "k1", "k2", "k3"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
 class SaturationLimits:
     """Actuator command bounds in PWM-%."""
 
@@ -103,34 +86,41 @@ def hurwitz_poly(design: GpiDesign) -> np.ndarray:
     return h
 
 
-def compute_gains(design: GpiDesign, tf: SecondOrderTf) -> GpiGains:
-    """Pole-placement gains matching the closed loop to hurwitz_poly(design).
+def compute_gains(design: GpiDesign, tf: SecondOrderTf) -> tuple:
+    """Pole-placement gains (k0, k1, k2, k3) matching the closed loop to hurwitz_poly(design).
 
-    Raises ValueError("unstable compensator denominator") when 4*xi*wn <= gamma1,
-    since the compensator pole -k3 would not be strictly stable.
+    The gains are finite, and k0 > 0 and k3 > 0 for valid designs. Raises
+    ValueError("unstable compensator denominator") when 4*xi*wn <= gamma1,
+    since the compensator pole -k3 would not be strictly stable, and
+    ValueError naming the gain when one overflows.
     """
     _, h1, h2, h3, h4 = map(float, hurwitz_poly(design))
     g1, g2 = tf.gamma1, tf.gamma2
     k3 = h1 - g1
     if k3 <= 0.0:
         raise ValueError("unstable compensator denominator")
-    return GpiGains(k0=h4, k1=h3 - g2 * k3, k2=h2 - g1 * k3 - g2, k3=k3)
+    gains = (h4, h3 - g2 * k3, h2 - g1 * k3 - g2, k3)
+    for name, value in zip(("k0", "k1", "k2", "k3"), gains):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    return gains
 
 
-def closed_loop_char_poly(gains: GpiGains, tf: SecondOrderTf) -> np.ndarray:
+def closed_loop_char_poly(gains, tf: SecondOrderTf) -> np.ndarray:
     """Degree-4 characteristic polynomial of the closed loop (descending).
 
     Its roots, np.roots(closed_loop_char_poly(gains, tf)), are the closed-loop
     poles; they equal the target double poles of hurwitz_poly(design) when
     gains = compute_gains(design, tf).
     """
+    k0, k1, k2, k3 = gains
     g1, g2 = tf.gamma1, tf.gamma2
     return np.array([
         1.0,
-        gains.k3 + g1,
-        gains.k2 + gains.k3 * g1 + g2,
-        gains.k3 * g2 + gains.k1,
-        gains.k0,
+        k3 + g1,
+        k2 + k3 * g1 + g2,
+        k3 * g2 + k1,
+        k0,
     ])
 
 
@@ -145,7 +135,7 @@ def feedforward(tf: SecondOrderTf, ref: RefSample) -> float:
 
 def control_step(
     cs,
-    gains: GpiGains,
+    gains,
     tf: SecondOrderTf,
     theta_meas: float,
     ref: RefSample,
@@ -162,7 +152,8 @@ def control_step(
     proportional term, theta_dot0 the initial velocity estimate subtracted in
     the reconstruction, and u_prev/e_prev the previous tick's input and error.
 
-    ref is any (theta_d, theta_dot_d, theta_ddot_d) triple of floats. All
+    gains is compute_gains' (k0, k1, k2, k3), and ref is any (theta_d,
+    theta_dot_d, theta_ddot_d) triple of floats. All
     integrals advance by the trapezoidal rule over the interval h since the
     previous tick. The first tick has no preceding interval: it is the
     h = 0 case, so the integrals stay at 0 and the implicit correction
@@ -188,7 +179,7 @@ def control_step(
         int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
         h = dt
     u_d = feedforward(tf, ref)
-    k0, k1, k2, k3 = gains.k0, gains.k1, gains.k2, gains.k3
+    k0, k1, k2, k3 = gains
 
     int_e = int_e_prev + 0.5 * h * (e_prev + e)
     dint_e = dint_e_prev + 0.5 * h * (int_e_prev + int_e)

@@ -25,7 +25,7 @@ import numbers
 import os
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Union
@@ -44,6 +44,7 @@ from .trajectory import (
     DEFAULT_DT,
     JointLimits,
     RefSample,
+    _check_quintic_rates,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,
@@ -72,6 +73,7 @@ class QuinticRef:
             raise ValueError(f"quintic reference needs finite values and T > 0, got {self!r}")
         if self.T * self.T == 0.0:  # quintic_eval divides by T * T
             raise ValueError(f"quintic reference T = {self.T!r} is too small: T * T underflows to 0")
+        _check_quintic_rates(self.theta0, self.thetaf, self.T)
 
 
 @dataclass(frozen=True)
@@ -173,26 +175,10 @@ class JointSeries:
 _SERIES_HEADER = tuple(f.name for f in fields(JointSeries))
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Tracking-quality summary of one joint's run.
-
-    steady_state_error is the mean |e| over the final 10 % of samples;
-    settle_time is the time at which |e| enters the 0.03 rad band and stays
-    inside until the end (math.inf when that never happens).
-    """
-
-    mse: float
-    rmse: float
-    max_abs_error: float
-    steady_state_error: float
-    settle_time: float
-
-
 @dataclass
 class SimResult:
     series: Dict[str, JointSeries]
-    metrics: Dict[str, Metrics]
+    metrics: Dict[str, Dict[str, float]]
 
 
 @np.errstate(all="ignore")  # an overflow is reported by the finiteness check, not warned
@@ -268,8 +254,14 @@ def run_scenario(s: Scenario) -> SimResult:
 
 
 @np.errstate(over="ignore")  # an error too large to square gives an infinite mse, not a warning
-def compute_metrics(series: JointSeries) -> Metrics:
-    """Tracking metrics of one joint's logged series."""
+def compute_metrics(series: JointSeries) -> Dict[str, float]:
+    """Tracking-quality summary of one joint's logged series, as a dict of floats.
+
+    Its keys are mse, rmse, max_abs_error, steady_state_error (the mean |e|
+    over the final 10 % of samples) and settle_time (the time at which |e|
+    enters the 0.03 rad band and stays inside until the end; math.inf when
+    that never happens).
+    """
     e = series.e
     n = len(e)
     mse = float(np.mean(e * e))
@@ -284,9 +276,7 @@ def compute_metrics(series: JointSeries) -> Metrics:
         settle = math.inf
     else:
         settle = float(series.t[outside[-1] + 1])
-    return Metrics(
-        mse=mse, rmse=rmse, max_abs_error=max_abs, steady_state_error=sse, settle_time=settle
-    )
+    return {"mse": mse, "rmse": rmse, "max_abs_error": max_abs, "steady_state_error": sse, "settle_time": settle}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -346,10 +336,10 @@ def export_plot(r: SimResult, path) -> Path:
     return path
 
 
-def metrics_to_dict(metrics: Dict[str, Metrics]) -> dict:
+def metrics_to_dict(metrics: Dict[str, Dict[str, float]]) -> dict:
     """Strict-JSON form of per-joint metrics: a non-finite value becomes None (null)."""
     return {
-        joint: {name: value if math.isfinite(value) else None for name, value in asdict(m).items()}
+        joint: {name: value if math.isfinite(value) else None for name, value in m.items()}
         for joint, m in metrics.items()
     }
 

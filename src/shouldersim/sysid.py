@@ -52,22 +52,10 @@ class IoRecord:
         return len(self.u)
 
 
-@dataclass(frozen=True)
-class DiscreteArx2:
-    """Discrete model theta[k] = -a1*theta[k-1] - a2*theta[k-2] + b0*u[k-1]."""
-
-    a1: float
-    a2: float
-    b0: float
-
-    def __post_init__(self):
-        for name in ("a1", "a2", "b0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def fit_arx2(rec: IoRecord) -> DiscreteArx2:
+def fit_arx2(rec: IoRecord) -> tuple:
     """ARX(2,1) least-squares fit with iterative bias compensation for white output noise.
+
+    Returns (a1, a2, b0) of theta[k] = -a1*theta[k-1] - a2*theta[k-2] + b0*u[k-1].
 
     Starting from the plain least-squares solution, alternately estimate the
     output-noise variance from the residual and re-solve the normal equations
@@ -102,29 +90,30 @@ def fit_arx2(rec: IoRecord) -> DiscreteArx2:
         theta, sig2 = theta_new, sig2_new
         if converged:
             break
-    return DiscreteArx2(a1=float(theta[0]), a2=float(theta[1]), b0=float(theta[2]))
+    return float(theta[0]), float(theta[1]), float(theta[2])
 
 
-def to_continuous(d: DiscreteArx2, ts: float) -> SecondOrderTf:
-    """Inverse bilinear (Tustin) map back to gamma form.
+def to_continuous(d, ts: float) -> SecondOrderTf:
+    """Inverse bilinear (Tustin) map of fit_arx2's (a1, a2, b0) back to gamma form.
 
     A discrete pole at z = -1 maps to infinite frequency and makes the
     substitution singular; that raises ValueError("Tustin singularity").
-    A pole at z -> 1 drives gamma2 -> 0, which is rejected by the
-    SecondOrderTf invariants rather than silently accepted.
+    A pole at z -> 1 (gamma2 -> 0) and a non-finite coefficient are
+    rejected by the SecondOrderTf invariants rather than silently accepted.
     """
     if ts <= 0:
         raise ValueError(f"ts must be > 0, got {ts!r}")
-    edge = 1.0 - d.a1 + d.a2
+    a1, a2, b0 = d
+    edge = 1.0 - a1 + a2
     if abs(edge) < 1e-12:
         raise ValueError("Tustin singularity")
     c = (ts * ts / 4.0) * edge
     if c == 0.0:
         raise ValueError(f"ts = {ts!r} is too small: ts * ts / 4 * (1 - a1 + a2) underflows to 0")
     return SecondOrderTf(
-        gamma0=d.b0 / c,
-        gamma1=ts * (1.0 - d.a2) / c,
-        gamma2=(1.0 + d.a1 + d.a2) / c,
+        gamma0=b0 / c,
+        gamma1=ts * (1.0 - a2) / c,
+        gamma2=(1.0 + a1 + a2) / c,
     )
 
 

@@ -47,15 +47,24 @@ class RefSample(NamedTuple):
     theta_ddot_d: float | np.ndarray
 
 
+def _check_quintic_rates(theta0: float, thetaf: float, T: float) -> None:
+    """Raise ValueError naming T when 30*d/T or 60*d/(T*T) overflows while d = thetaf - theta0 is finite."""
+    d, T = float(thetaf) - float(theta0), float(T)
+    if math.isfinite(d) and not (math.isfinite(30.0 * d / T) and math.isfinite(60.0 * d / (T * T))):
+        raise ValueError(f"quintic reference T = {T!r} is too small for a {d:.6g} rad move: 30 * d / T or 60 * d / (T * T) overflows")
+
+
 def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
     The closed form theta0 + (thetaf - theta0)(10 s^3 - 15 s^4 + 6 s^5) with
     s = t/T has zero velocity and acceleration at both ends. Outside [0, T]
     the nearest boundary sample is held. t is a float or an array of times.
+    A T so small that a velocity or acceleration scale overflows raises ValueError.
     """
-    if T <= 0 or T * T == 0.0:
+    if not T > 0 or T * T == 0.0:  # not T > 0: NaN too
         raise ValueError(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")
+    _check_quintic_rates(theta0, thetaf, T)
     s = np.clip(t, 0.0, T) / T
     r = 1.0 - s
     d = thetaf - theta0

@@ -438,6 +438,16 @@ def test_run_rejects_a_quintic_whose_square_duration_underflows(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_quintic_whose_acceleration_scale_overflows(tmp_path, capsys):
+    # 60 * d / (T * T) overflows to inf: the file is rejected when loaded, naming T
+    err = run_edited_scenario(tmp_path, capsys, _edit_fe("reference", T=1e-161), name="reach_q5").err
+    assert err == (
+        "error: joint fe: quintic reference T = 1e-161 is too small for a 0.1746 rad move: "
+        "30 * d / T or 60 * d / (T * T) overflows\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _run_with_fe_teach(tmp_path, capsys, rows):
     """Run reach_q5 with a demonstration of rows as fe's reference; returns its exit code."""
     demo = tmp_path / "demo.csv"
@@ -534,6 +544,14 @@ def test_gains_rejects_overflowing_design(capsys, xi, wn):
     argv = ["gains", "--xi", str(xi), "--wn", str(wn), "--g0", "0.0005725", "--g1", "0.05725", "--g2", "0.044"]
     err = one_line_error(capsys, argv).err
     assert err == f"error: target polynomial overflows for xi={xi!r}, wn={wn!r}\n"
+
+
+def test_gains_rejects_a_design_whose_gains_overflow(capsys):
+    # the target polynomial is finite, but k1 = h3 - g2 * k3 overflows to -inf
+    argv = ["gains", "--xi", "0.9", "--wn", "1e70", "--g0", "1", "--g1", "0", "--g2", "1e300"]
+    captured = one_line_error(capsys, argv)
+    assert captured.err == "error: k1 must be finite, got -inf\n"
+    assert captured.out == ""
 
 
 def test_run_rejects_overflowing_design(tmp_path, capsys):

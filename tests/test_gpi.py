@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from shouldersim import (
     GpiDesign,
-    GpiGains,
     JointConfig,
     JointLimits,
     QuinticRef,
@@ -69,8 +68,11 @@ def test_design_validation():
         GpiDesign(xi=1.0, wn=-2.0)
     with pytest.raises(ValueError):
         SaturationLimits(u_min=10.0, u_max=10.0)
-    with pytest.raises(ValueError):
-        GpiGains(k0=float("nan"), k1=0.0, k2=0.0, k3=0.0)
+
+
+def test_compute_gains_rejects_gains_that_overflow():
+    with pytest.raises(ValueError, match=r"^k1 must be finite, got -inf$"):
+        compute_gains(GpiDesign(0.9, 1e70), SecondOrderTf(1.0, 0.0, 1e300))
 
 
 def test_saturation_clamp():
@@ -95,27 +97,27 @@ def test_gain_formulas_in_stiffness_free_limit():
     # k2=2+4xi^2, k3=4xi at wn=1
     eps = 1e-15
     for xi in (0.3, 0.9, 1.7):
-        gains = compute_gains(GpiDesign(xi=xi, wn=1.0), SecondOrderTf(1.0, 0.0, eps))
-        assert abs(gains.k0 - 1.0) < 1e-12
-        assert abs(gains.k1 - 4.0 * xi) < 1e-12
-        assert abs(gains.k2 - (2.0 + 4.0 * xi * xi)) < 1e-12
-        assert abs(gains.k3 - 4.0 * xi) < 1e-12
+        k0, k1, k2, k3 = compute_gains(GpiDesign(xi=xi, wn=1.0), SecondOrderTf(1.0, 0.0, eps))
+        assert abs(k0 - 1.0) < 1e-12
+        assert abs(k1 - 4.0 * xi) < 1e-12
+        assert abs(k2 - (2.0 + 4.0 * xi * xi)) < 1e-12
+        assert abs(k3 - 4.0 * xi) < 1e-12
 
 
 def test_gains_abad_joint():
-    gains = compute_gains(S1_DESIGN, G1)
-    assert abs(gains.k0 - 1384.5841) < 1e-9
-    assert abs(gains.k1 - 816.167879) < 1e-9
-    assert abs(gains.k2 - 193.6824675625) < 1e-9
-    assert abs(gains.k3 - 21.90275) < 1e-9
+    k0, k1, k2, k3 = compute_gains(S1_DESIGN, G1)
+    assert abs(k0 - 1384.5841) < 1e-9
+    assert abs(k1 - 816.167879) < 1e-9
+    assert abs(k2 - 193.6824675625) < 1e-9
+    assert abs(k3 - 21.90275) < 1e-9
 
 
 def test_gains_fe_joint():
-    gains = compute_gains(S2_DESIGN, G2)
-    assert abs(gains.k0 - 11038.12890625) < 1e-9
-    assert abs(gains.k1 - 3875.30978727) < 1e-8
-    assert abs(gains.k2 - 542.672379) < 1e-9
-    assert abs(gains.k3 - 36.687) < 1e-9
+    k0, k1, k2, k3 = compute_gains(S2_DESIGN, G2)
+    assert abs(k0 - 11038.12890625) < 1e-9
+    assert abs(k1 - 3875.30978727) < 1e-8
+    assert abs(k2 - 542.672379) < 1e-9
+    assert abs(k3 - 36.687) < 1e-9
 
 
 def test_gain_synthesis_rejects_overdamped_plant():
@@ -131,7 +133,7 @@ def test_char_poly_reproduces_target():
 
 
 def test_char_poly_zero_gains():
-    cp = closed_loop_char_poly(GpiGains(0.0, 0.0, 0.0, 0.0), SecondOrderTf(1.0, 0.0, 1e-15))
+    cp = closed_loop_char_poly((0.0, 0.0, 0.0, 0.0), SecondOrderTf(1.0, 0.0, 1e-15))
     assert np.allclose(cp, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -172,7 +174,7 @@ def test_perfect_tracking_returns_feedforward():
 
 
 def test_constant_error_pure_proportional():
-    gains = GpiGains(k0=0.0, k1=0.0, k2=1.0, k3=0.0)
+    gains = (0.0, 0.0, 1.0, 0.0)  # (k0, k1, k2, k3)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
     ref = RefSample(0.0, 0.0, 0.0)
     sat = SaturationLimits(-10.0, 10.0)
@@ -184,7 +186,7 @@ def test_constant_error_pure_proportional():
 
 def test_trapezoidal_integrals_exact():
     # dyadic dt and values make the trapezoid sums exact in floating point
-    gains = GpiGains(0.0, 0.0, 0.0, 0.0)
+    gains = (0.0, 0.0, 0.0, 0.0)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
     ref = RefSample(0.0, 0.0, 0.0)
     dt, n = 0.25, 16
@@ -348,6 +350,6 @@ def test_a_constant_reference_is_held_with_u_equal_to_u_d(case):
     # makes of that e. 64 ulps of each leaves room to spare.
     eps = np.finfo(float).eps
     e_tol = 64 * eps * theta0
-    u_tol = 64 * eps * abs(u_d) + compute_gains(design, plant).k2 / plant.gamma0 * e_tol
+    u_tol = 64 * eps * abs(u_d) + compute_gains(design, plant)[2] / plant.gamma0 * e_tol
     assert np.max(np.abs(series.e)) <= e_tol
     assert np.max(np.abs(series.u - u_d)) <= u_tol

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from shouldersim import (
     DisturbanceSpec,
@@ -253,8 +253,8 @@ def test_run_quintic_reach_tracks():
     assert set(r.series) == {"abad", "fe"}
     assert len(r.series["abad"].t) == s.n_samples
     assert abs(r.series["abad"].e[-1]) < 5e-4
-    assert m.max_abs_error < 1e-3
-    assert m.settle_time == 0.0
+    assert m["max_abs_error"] < 1e-3
+    assert m["settle_time"] == 0.0
 
 
 def counting(monkeypatch, module, name, key):
@@ -451,10 +451,10 @@ def test_metrics_zero_error():
     zeros = np.zeros(50)
     series = JointSeries(t=t, theta_d=zeros + 0.3, theta_meas=zeros + 0.3, u=zeros, e=zeros)
     m = compute_metrics(series)
-    assert m.mse == 0.0 and m.rmse == 0.0
-    assert m.max_abs_error == 0.0
-    assert m.steady_state_error == 0.0
-    assert m.settle_time == 0.0
+    assert m["mse"] == 0.0 and m["rmse"] == 0.0
+    assert m["max_abs_error"] == 0.0
+    assert m["steady_state_error"] == 0.0
+    assert m["settle_time"] == 0.0
 
 
 def test_metrics_constant_offset():
@@ -462,11 +462,11 @@ def test_metrics_constant_offset():
     e = np.full(50, 0.1)
     series = JointSeries(t=t, theta_d=np.zeros(50), theta_meas=e, u=np.zeros(50), e=e)
     m = compute_metrics(series)
-    assert m.rmse == pytest.approx(0.1)
-    assert m.mse == pytest.approx(0.01)
-    assert m.max_abs_error == pytest.approx(0.1)
-    assert m.steady_state_error == pytest.approx(0.1)
-    assert math.isinf(m.settle_time)
+    assert m["rmse"] == pytest.approx(0.1)
+    assert m["mse"] == pytest.approx(0.01)
+    assert m["max_abs_error"] == pytest.approx(0.1)
+    assert m["steady_state_error"] == pytest.approx(0.1)
+    assert math.isinf(m["settle_time"])
     # the JSON form uses None as the infinite-settle sentinel
     d = metrics_to_dict({"abad": m})
     assert d["abad"]["settle_time"] is None
@@ -482,9 +482,9 @@ def test_metric_sanity_properties():
             t=np.arange(n) * 0.065, theta_d=np.zeros(n), theta_meas=e, u=np.zeros(n), e=e
         )
         m = compute_metrics(series)
-        assert m.steady_state_error <= m.max_abs_error + 1e-15
-        assert m.rmse <= m.max_abs_error + 1e-15
-        assert m.rmse**2 == pytest.approx(m.mse)
+        assert m["steady_state_error"] <= m["max_abs_error"] + 1e-15
+        assert m["rmse"] <= m["max_abs_error"] + 1e-15
+        assert m["rmse"]**2 == pytest.approx(m["mse"])
 
 
 @settings(deadline=None)
@@ -498,18 +498,28 @@ def test_metrics_dict_is_strict_json(e):
     m = compute_metrics(series)
     d = metrics_to_dict({"abad": m})
     json.dumps(d, allow_nan=False)
-    for name, value in dataclasses.asdict(m).items():
+    for name, value in m.items():
         assert d["abad"][name] == (value if math.isfinite(value) else None)
+
+
+def test_metrics_keys_are_the_keys_of_metrics_json(tmp_path):
+    r = run_scenario(load_scenario(bundled("reach_q1")))
+    write_artifacts(r, tmp_path)
+    written = json.loads((tmp_path / "metrics.json").read_text())
+    for joint, series in r.series.items():
+        keys = list(compute_metrics(series))
+        assert keys == ["mse", "rmse", "max_abs_error", "steady_state_error", "settle_time"]
+        assert list(written[joint]) == keys
 
 
 def test_settle_time_meaning():
     r = run_scenario(load_scenario(bundled("reach_q2")))
     for joint, m in r.metrics.items():
         se = r.series[joint]
-        if math.isinf(m.settle_time):
+        if math.isinf(m["settle_time"]):
             assert abs(se.e[-1]) > 0.03
         else:
-            assert np.all(np.abs(se.e[se.t >= m.settle_time]) <= 0.03)
+            assert np.all(np.abs(se.e[se.t >= m["settle_time"]]) <= 0.03)
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -641,6 +651,13 @@ def _finite(lo=None, hi=None):
 _POSITIVE = _finite(1e-6, 1e6)
 
 
+def _quintic_or_reject(theta0, thetaf, T):
+    try:
+        return QuinticRef(theta0, thetaf, T)
+    except ValueError:
+        reject()  # T is too short for the move, so the constructor refuses it and there is no file
+
+
 def _interval(cls):
     return st.builds(lambda lo, width: cls(lo, lo + width), _finite(-1e3, 1e3), _finite(1e-3, 1e3))
 
@@ -652,7 +669,7 @@ _JOINTS = st.builds(
     limits=_interval(JointLimits),
     saturation=_interval(SaturationLimits),
     reference=st.one_of(
-        st.builds(QuinticRef, _finite(), _finite(), _POSITIVE),
+        st.builds(_quintic_or_reject, _finite(), _finite(), _POSITIVE),
         st.builds(SineRef, _POSITIVE, _finite(), _finite()),
         st.builds(
             TeachRef,
@@ -714,9 +731,9 @@ def test_bundled_scenarios_all_load(tmp_path):
 def test_bundled_teach_repeat_tracks():
     r = run_scenario(load_scenario(bundled("teach_repeat")))
     m = r.metrics["abad"]
-    assert m.max_abs_error < 0.005
-    assert m.rmse < 0.002
-    assert m.settle_time == 0.0
+    assert m["max_abs_error"] < 0.005
+    assert m["rmse"] < 0.002
+    assert m["settle_time"] == 0.0
     # the replayed demonstration never drives the pumps to either limit
     u = r.series["abad"].u
     assert np.min(u) > 0.0 and np.max(u) < 100.0

@@ -1,12 +1,16 @@
 """The package's public names, pinned: adding or removing one shows in the diff."""
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import shouldersim
 
 PUBLIC_NAMES = [
-    "ArmLength", "DEFAULT_DT", "DiscreteArx2", "DisturbanceSpec", "GpiDesign",
-    "GpiGains", "IoRecord", "JointConfig", "JointLimits", "JointSeries",
-    "Metrics", "QuinticRef", "RefSample", "SaturationLimits", "Scenario", "SecondOrderTf",
+    "ArmLength", "DEFAULT_DT", "DisturbanceSpec", "GpiDesign",
+    "IoRecord", "JointConfig", "JointLimits", "JointSeries",
+    "QuinticRef", "RefSample", "SaturationLimits", "Scenario", "SecondOrderTf",
     "ShoulderAngles", "SimResult", "SineRef", "TeachRef", "WristPosition",
     "build_reference", "clamp_to_limits", "closed_loop_char_poly", "compute_gains",
     "compute_metrics", "control_step", "dc_gain", "decimate_record", "differentiate_teach",
@@ -25,3 +29,19 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone, so any other import fails on a clean install.
+    # The check is against a snapshot: site may import third-party modules before any user code.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import shouldersim.cli, shouldersim.presets\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'shouldersim'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(shouldersim.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -75,7 +75,7 @@ def oracle_control_step(cs, gains, tf, theta_meas, ref, dt, sat):
     e = theta_meas - ref.theta_d
     e0 = cs.e0 if cs.e0 is not None else e
     u_d = oracle_feedforward(tf, ref)
-    k0, k1, k2, k3 = gains.k0, gains.k1, gains.k2, gains.k3
+    k0, k1, k2, k3 = gains
 
     if cs.u_prev is None:
         h, e_prev, u_prev = 0.0, e, 0.0

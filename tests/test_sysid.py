@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shouldersim import (
-    DiscreteArx2,
     IoRecord,
     SecondOrderTf,
     decimate_record,
@@ -38,8 +37,8 @@ def max_rel_gamma_error(est, truth):
     )
 
 
-def discretize(tf: SecondOrderTf, ts: float) -> DiscreteArx2:
-    """Forward bilinear (Tustin) map of a continuous plant onto the ARX(2,1) form.
+def discretize(tf: SecondOrderTf, ts: float):
+    """Forward bilinear (Tustin) map of a continuous plant onto the ARX(2,1) (a1, a2, b0).
 
     The oracle of to_continuous: the denominator comes from the exact Tustin
     substitution, and b0 is chosen so that to_continuous inverts the map
@@ -50,7 +49,7 @@ def discretize(tf: SecondOrderTf, ts: float) -> DiscreteArx2:
     a1 = (-2.0 * k * k + 2.0 * tf.gamma2) / d0
     a2 = (k * k - tf.gamma1 * k + tf.gamma2) / d0
     b0 = 4.0 * tf.gamma0 / d0
-    return DiscreteArx2(a1=a1, a2=a2, b0=b0)
+    return a1, a2, b0
 
 
 def test_record_validation():
@@ -74,10 +73,10 @@ def test_fit_recovers_known_difference_equation():
     y = np.zeros(n)
     for k in range(1, n):
         y[k] = 0.5 * y[k - 1] + 0.1 * u[k - 1]
-    d = fit_arx2(IoRecord(u=u, theta=y, ts=TS))
-    assert abs(d.a1 - (-0.5)) < 1e-9
-    assert abs(d.a2) < 1e-9
-    assert abs(d.b0 - 0.1) < 1e-9
+    a1, a2, b0 = fit_arx2(IoRecord(u=u, theta=y, ts=TS))
+    assert abs(a1 - (-0.5)) < 1e-9
+    assert abs(a2) < 1e-9
+    assert abs(b0 - 0.1) < 1e-9
 
 
 def test_fit_rejects_unexcited_data():
@@ -87,9 +86,9 @@ def test_fit_rejects_unexcited_data():
 
 
 def test_discretize_spot_values():
-    d = discretize(G1, TS)
-    assert abs(d.a1 - (-1.996100287142391)) < 1e-12
-    assert abs(d.a2 - 0.9962858332873379) < 1e-12
+    a1, a2, _ = discretize(G1, TS)
+    assert abs(a1 - (-1.996100287142391)) < 1e-12
+    assert abs(a2 - 0.9962858332873379) < 1e-12
 
 
 def test_bilinear_round_trip_both_joints():
@@ -120,10 +119,18 @@ def test_bilinear_round_trip_property(gamma0, gamma1, gamma2, ts):
 def test_to_continuous_flags_singular_poles():
     # a double pole at z = -1 maps to infinite frequency
     with pytest.raises(ValueError, match="Tustin singularity"):
-        to_continuous(DiscreteArx2(a1=2.0, a2=1.0, b0=0.1), TS)
+        to_continuous((2.0, 1.0, 0.1), TS)
     # a pole pinned at z = 1 implies zero stiffness, which is rejected
     with pytest.raises(ValueError):
-        to_continuous(DiscreteArx2(a1=-1.8, a2=0.8, b0=0.1), TS)
+        to_continuous((-1.8, 0.8, 0.1), TS)
+
+
+@pytest.mark.parametrize(
+    "arx", [(np.nan, 0.0, 0.1), (np.inf, 0.0, 0.1), (-1.8, 0.8, np.inf)], ids=["a1-nan", "a1-inf", "b0-inf"]
+)
+def test_to_continuous_rejects_non_finite_coefficients(arx):
+    with pytest.raises(ValueError):
+        to_continuous(arx, TS)
 
 
 def test_to_continuous_rejects_a_period_whose_square_underflows():

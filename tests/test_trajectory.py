@@ -75,6 +75,8 @@ def test_quintic_rejects_bad_duration():
         quintic_eval(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         quintic_eval(0.0, 1.0, -3.0, 0.0)
+    with pytest.raises(ValueError, match="T must be > 0"):
+        quintic_eval(0.0, 1.0, math.nan, 0.0)
 
 
 def test_quintic_boundary_residuals_property():
@@ -412,3 +414,17 @@ def test_differentiate_teach_resamples_no_more_than_the_run():
 def test_quintic_rejects_a_duration_whose_square_underflows(T):
     with pytest.raises(ValueError, match=re.escape(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")):
         quintic_eval(0.0, 1.0, T, 0.0)
+
+
+@pytest.mark.parametrize("T", [1e-161, 2e-154])
+def test_quintic_rejects_a_duration_whose_acceleration_scale_overflows(T):
+    # T * T is nonzero, but 60 * d / (T * T) is inf, and inf times s = 0 at tick 0 would be NaN
+    message = f"quintic reference T = {T!r} is too small for a 0.2 rad move: 30 * d / T or 60 * d / (T * T) overflows"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        quintic_eval(0.1745, 0.3745, T, np.arange(3) * 0.065)
+
+
+def test_quintic_evaluates_the_shortest_duration_whose_scales_are_finite():
+    ref = quintic_eval(0.1745, 0.3745, 3e-154, np.arange(3) * 0.065)
+    assert all(np.all(np.isfinite(x)) for x in ref)
+    assert ref.theta_d.tolist() == [0.1745, 0.3745, 0.3745]
