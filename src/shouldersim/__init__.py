@@ -27,14 +27,7 @@ from .trajectory import (
     record_teach,
     sine_ref,
 )
-from .kinematics import (
-    ArmLength,
-    ShoulderAngles,
-    WristPosition,
-    forward,
-    in_workspace,
-    inverse,
-)
+from .kinematics import forward, inverse
 from .sysid import (
     IoRecord,
     decimate_record,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import harness, presets, sysid
 from .gpi import GpiDesign, closed_loop_char_poly, compute_gains
-from .kinematics import ArmLength, ShoulderAngles, WristPosition, forward, inverse
+from .kinematics import forward, inverse
 from .plant import SecondOrderTf
 from .trajectory import DEFAULT_DT
 
@@ -56,23 +56,36 @@ def _cmd_gains(args) -> int:
 
 
 def _cmd_fk(args) -> int:
-    pos = forward(ShoulderAngles(theta_s1=args.theta1, theta_s2=args.theta2), ArmLength(args.la))
-    print(f"x = {pos.x:.6f} m")
-    print(f"y = {pos.y:.6f} m")
-    print(f"z = {pos.z:.6f} m")
+    x, y, z = forward(args.theta1, args.theta2, args.la)
+    print(f"x = {x:.6f} m")
+    print(f"y = {y:.6f} m")
+    print(f"z = {z:.6f} m")
     return 0
 
 
 def _cmd_ik(args) -> int:
-    q = inverse(WristPosition(x=args.x, y=args.y, z=args.z), ArmLength(args.la))
-    print(f"theta_s1 = {q.theta_s1:.6f} rad")
-    print(f"theta_s2 = {q.theta_s2:.6f} rad")
+    theta_s1, theta_s2 = inverse(args.x, args.y, args.z, args.la)
+    print(f"theta_s1 = {theta_s1:.6f} rad")
+    print(f"theta_s2 = {theta_s2:.6f} rad")
     return 0
 
 
 def _cmd_sysid(args) -> int:
     record = sysid.load_io_csv(args.csv, ts=args.ts)
-    tf, fit = sysid.estimate_tf(record)
+    try:
+        tf, fit = sysid.estimate_tf(record)
+    except ValueError as full_rate_error:
+        # output noise on a record sampled far above the plant's bandwidth can
+        # drive the full-rate fit to a negative gamma; block averaging lowers it
+        for m in (2, 5, 10):
+            try:
+                tf, fit = sysid.estimate_tf(sysid.decimate_record(record, m))
+            except ValueError:
+                continue
+            print(f"decimated by {m}")
+            break
+        else:
+            raise full_rate_error
     print(f"gamma0 = {tf.gamma0!r}")
     print(f"gamma1 = {tf.gamma1!r}")
     print(f"gamma2 = {tf.gamma2!r}")

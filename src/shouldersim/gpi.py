@@ -22,6 +22,7 @@ dividing the explicit part by (1 + k3*dt/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import inf
 
@@ -68,7 +69,8 @@ class SaturationLimits:
 def hurwitz_poly(design: GpiDesign) -> np.ndarray:
     """Expansion of the target polynomial (s^2 + 2*xi*wn*s + wn^2)^2.
 
-    Raises ValueError when a coefficient overflows the float range.
+    Raises ValueError when a coefficient overflows the float range or when
+    wn ** 4 (which is k0) underflows below the smallest normal float.
     """
     xi, wn = design.xi, design.wn
     try:  # float ** raises OverflowError where float * returns inf
@@ -83,6 +85,8 @@ def hurwitz_poly(design: GpiDesign) -> np.ndarray:
         h = None
     if h is None or not np.all(np.isfinite(h)):
         raise ValueError(f"target polynomial overflows for xi={xi!r}, wn={wn!r}")
+    if h[4] < sys.float_info.min:
+        raise ValueError(f"wn = {wn!r} is too small: wn ** 4 underflows below {sys.float_info.min!r}")
     return h
 
 

@@ -38,7 +38,7 @@ from shouldersim import (
     simulate_record,
     sine_ref,
 )
-from shouldersim.kinematics import ArmLength, ShoulderAngles, forward, inverse
+from shouldersim.kinematics import forward, inverse
 
 SCENARIOS = presets.scenario_dir()
 
@@ -168,14 +168,13 @@ def test_criterion_05_disturbance_rejection():
 
 
 def test_criterion_06_kinematics_round_trip_and_endpoint_table():
-    arm = ArmLength()
     s1 = np.linspace(0.1745, 1.396, 50)
     s2 = np.linspace(0.1745, 0.5585, 50)
     worst_rt = 0.0
     for a in s1:
         for b in s2:
-            q = inverse(forward(ShoulderAngles(float(a), float(b)), arm), arm)
-            worst_rt = max(worst_rt, abs(q.theta_s1 - a), abs(q.theta_s2 - b))
+            back_s1, back_s2 = inverse(*forward(float(a), float(b)))
+            worst_rt = max(worst_rt, abs(back_s1 - a), abs(back_s2 - b))
 
     # tabulated wrist positions for the eight commanded endpoints (y cells
     # excluded: that column just repeats x). Rows 5 and 6 are stated as None
@@ -195,9 +194,9 @@ def test_criterion_06_kinematics_round_trip_and_endpoint_table():
     map_x_for_inconsistent_rows = iter((0.100780, 0.090953))
     worst_cell = 0.0
     for theta1, theta2, x_cell, z_cell in rows:
-        p = forward(ShoulderAngles(theta1, theta2), arm)
+        x, _, z = forward(theta1, theta2)
         expected_x = x_cell if x_cell is not None else next(map_x_for_inconsistent_rows)
-        worst_cell = max(worst_cell, abs(p.x - expected_x), abs(p.z - z_cell))
+        worst_cell = max(worst_cell, abs(x - expected_x), abs(z - z_cell))
 
     ok = worst_rt <= 1e-12 and worst_cell <= 1e-3
     report(

@@ -13,7 +13,7 @@ import pytest
 import shouldersim
 from shouldersim import IoRecord, load_series_csv, multisine_profile, presets, simulate_record, trajectory
 from shouldersim.cli import main
-from shouldersim.kinematics import ArmLength, ShoulderAngles, forward
+from shouldersim.kinematics import forward
 
 SCENARIOS = presets.scenario_dir()
 
@@ -67,8 +67,8 @@ def test_fk_arm_along_x(capsys):
 
 
 def test_ik_round_trips_fk(capsys):
-    pos = forward(ShoulderAngles(theta_s1=0.6981, theta_s2=0.3491), ArmLength())
-    rc = main(["ik", "--x", repr(pos.x), "--y", repr(pos.y), "--z", repr(pos.z)])
+    x, y, z = forward(0.6981, 0.3491)
+    rc = main(["ik", "--x", repr(x), "--y", repr(y), "--z", repr(z)])
     out = capsys.readouterr().out
     assert rc == 0
     assert printed_value(out, "theta_s1") == pytest.approx(0.6981, abs=1e-6)
@@ -90,6 +90,32 @@ def test_ik_rejects_a_point_off_the_arm_sphere(capsys):
     # the README example is typed to 4 decimals, 4.4e-5 m off the sphere
     assert main(["ik", "--x", "0.1008", "--y", "0.0846", "--z", "-0.0479"]) == 0
     assert printed_value(capsys.readouterr().out, "theta_s1") == pytest.approx(0.698241, abs=1e-6)
+
+
+_FK = ["fk", "--theta1", "0", "--theta2", "0"]
+_IK = ["ik", "--x", "0.14", "--y", "0", "--z", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fk", "--theta1", "nan", "--theta2", "0"], "shoulder angles must be finite"),
+        (["fk", "--theta1", "0", "--theta2=-inf"], "shoulder angles must be finite"),
+        (["fk", "--theta1", "nan", "--theta2", "0", "--la", "0"], "shoulder angles must be finite"),
+        (["ik", "--x", "nan", "--y", "0", "--z", "0"], "wrist position must be finite"),
+        (["ik", "--x", "0", "--y", "0", "--z", "nan", "--la", "0"], "wrist position must be finite"),
+    ]
+    + [
+        (argv + ["--la", la], f"l_a must be > 0, got {float(la)!r}")
+        for la in ("0", "-1", "nan", "inf")
+        for argv in (_FK, _IK)
+    ],
+)
+def test_kinematics_rejects_bad_input_in_one_line(capsys, argv, message):
+    # the angles (or the position) are checked before the arm length
+    captured = one_line_error(capsys, argv)
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_run_produces_artifacts(tmp_path, capsys):
@@ -196,6 +222,26 @@ def test_sysid_recovers_plant(tmp_path, capsys):
     assert printed_value(out, "gamma1") == pytest.approx(truth.gamma1, rel=0.01)
     assert printed_value(out, "gamma2") == pytest.approx(truth.gamma2, rel=0.01)
     assert printed_value(out, "fit") > 99.0
+
+
+@pytest.mark.parametrize("joint", ["abad", "fe"])
+def test_sysid_decimates_a_noisy_record_that_fails_at_full_rate(tmp_path, capsys, joint):
+    # criterion 8's noise level: 7,000 samples at 0.065 s with Gaussian output
+    # noise at 2 % of the clean output's standard deviation
+    truth = {"abad": presets.ABAD_PLANT, "fe": presets.FE_PLANT}[joint]
+    ts, n = 0.065, 7000
+    for seed in range(3):
+        u = multisine_profile(n, seed=seed)
+        clean = simulate_record(truth, IoRecord(u=u, theta=np.zeros(n), ts=ts))
+        theta = clean + np.random.default_rng(seed).normal(0.0, 0.02 * float(np.std(clean)), size=n)
+        path = tmp_path / f"record{seed}.csv"
+        rows = "".join(f"{k * ts!r},{float(u[k])!r},{float(theta[k])!r}\n" for k in range(n))
+        path.write_text("t,u,theta\n" + rows)
+        rc = main(["sysid", "--csv", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("decimated by ")
+        assert printed_value(out, "fit") >= 89.0
 
 
 def test_teach_summary(capsys):
@@ -544,6 +590,16 @@ def test_gains_rejects_overflowing_design(capsys, xi, wn):
     argv = ["gains", "--xi", str(xi), "--wn", str(wn), "--g0", "0.0005725", "--g1", "0.05725", "--g2", "0.044"]
     err = one_line_error(capsys, argv).err
     assert err == f"error: target polynomial overflows for xi={xi!r}, wn={wn!r}\n"
+
+
+@pytest.mark.parametrize("wn", ["1e-90", "1e-80"])
+def test_gains_rejects_a_design_whose_wn_to_the_fourth_underflows(capsys, wn):
+    argv = ["gains", "--xi", "0.9", "--wn", wn, "--g0", "1", "--g1", "0", "--g2", "1"]
+    captured = one_line_error(capsys, argv)
+    assert captured.err == f"error: wn = {float(wn)!r} is too small: wn ** 4 underflows below {sys.float_info.min!r}\n"
+    assert captured.out == ""
+    assert main(argv[:4] + ["1e-76"] + argv[5:]) == 0
+    assert printed_value(capsys.readouterr().out, "k0") == 1e-76 ** 4
 
 
 def test_gains_rejects_a_design_whose_gains_overflow(capsys):

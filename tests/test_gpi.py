@@ -1,3 +1,5 @@
+import re
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +75,22 @@ def test_design_validation():
 def test_compute_gains_rejects_gains_that_overflow():
     with pytest.raises(ValueError, match=r"^k1 must be finite, got -inf$"):
         compute_gains(GpiDesign(0.9, 1e70), SecondOrderTf(1.0, 0.0, 1e300))
+
+
+@pytest.mark.parametrize("wn", [1e-90, 1e-80])
+def test_compute_gains_rejects_a_design_whose_wn_to_the_fourth_underflows(wn):
+    # wn ** 4 is 0.0 at 1e-90 and the subnormal 1e-320 at 1e-80: k0 would be 0 or subnormal
+    message = "^" + re.escape(f"wn = {wn!r} is too small: wn ** 4 underflows below {sys.float_info.min!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        hurwitz_poly(GpiDesign(0.9, wn))
+    with pytest.raises(ValueError, match=message):
+        compute_gains(GpiDesign(0.9, wn), SecondOrderTf(1.0, 0.0, 1.0))
+
+
+def test_compute_gains_accepts_a_small_wn_whose_k0_is_normal():
+    k0, _, _, k3 = compute_gains(GpiDesign(0.9, 1e-76), SecondOrderTf(1.0, 0.0, 1.0))
+    assert k0 == 1e-76 ** 4 and k0 >= sys.float_info.min
+    assert k3 > 0.0
 
 
 def test_saturation_clamp():

@@ -8,14 +8,14 @@ from pathlib import Path
 import shouldersim
 
 PUBLIC_NAMES = [
-    "ArmLength", "DEFAULT_DT", "DisturbanceSpec", "GpiDesign",
+    "DEFAULT_DT", "DisturbanceSpec", "GpiDesign",
     "IoRecord", "JointConfig", "JointLimits", "JointSeries",
     "QuinticRef", "RefSample", "SaturationLimits", "Scenario", "SecondOrderTf",
-    "ShoulderAngles", "SimResult", "SineRef", "TeachRef", "WristPosition",
+    "SimResult", "SineRef", "TeachRef",
     "build_reference", "clamp_to_limits", "closed_loop_char_poly", "compute_gains",
     "compute_metrics", "control_step", "dc_gain", "decimate_record", "differentiate_teach",
     "estimate_tf", "export_csv", "export_plot", "feedforward", "fit_arx2", "fit_percent",
-    "forward", "hurwitz_poly", "in_workspace", "inverse", "load_io_csv", "load_scenario",
+    "forward", "hurwitz_poly", "inverse", "load_io_csv", "load_scenario",
     "load_series_csv", "load_teach_csv", "multisine_profile", "quintic_eval", "record_teach",
     "run_scenario", "save_scenario", "simulate_record", "sine_ref", "step", "to_continuous",
     "write_artifacts",
