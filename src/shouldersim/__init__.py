@@ -5,39 +5,23 @@ tracks references with a robust generalized proportional integral (GPI)
 controller synthesized by pole placement, and ships a scenario-driven harness
 with CSV/SVG export plus tools for trajectory generation, kinematics and
 transfer-function identification.
+
+The root exports the scenario, model and identification API. The per-tick and
+per-array layers under it (the control law, the plant step, the reference
+samplers) are importable from their modules and free to change.
 """
-from .plant import DisturbanceSpec, SecondOrderTf, dc_gain, step
-from .gpi import (
-    GpiDesign,
-    SaturationLimits,
-    closed_loop_char_poly,
-    compute_gains,
-    control_step,
-    feedforward,
-    hurwitz_poly,
-)
-from .trajectory import (
-    DEFAULT_DT,
-    JointLimits,
-    RefSample,
-    clamp_to_limits,
-    differentiate_teach,
-    load_teach_csv,
-    quintic_eval,
-    record_teach,
-    sine_ref,
-)
+from .plant import DisturbanceSpec, SecondOrderTf
+from .gpi import GpiDesign, SaturationLimits, closed_loop_char_poly, compute_gains
+from .trajectory import DEFAULT_DT, JointLimits
 from .kinematics import forward, inverse
 from .sysid import (
     IoRecord,
     decimate_record,
     estimate_tf,
-    fit_arx2,
     fit_percent,
     load_io_csv,
     multisine_profile,
     simulate_record,
-    to_continuous,
 )
 from .harness import (
     JointConfig,
@@ -47,8 +31,6 @@ from .harness import (
     SimResult,
     SineRef,
     TeachRef,
-    build_reference,
-    compute_metrics,
     export_csv,
     export_plot,
     load_scenario,

@@ -165,13 +165,12 @@ def control_step(
     reference velocity. When the raw command exceeds the saturation
     limits, the error integrals are frozen for that tick (conditional
     integration anti-windup) while theta_int keeps integrating the actually
-    applied, clamped input.
+    applied, clamped input. A non-finite theta_meas raises ValueError;
+    dt is not checked here, since Scenario checks it once.
     """
-    # Chained comparisons are math.isfinite on every float: NaN fails both.
+    # A chained comparison is math.isfinite on every float: NaN fails both.
     if not -inf < theta_meas < inf:
         raise ValueError("non-finite measurement rejected")
-    if not 0.0 < dt < inf:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
 
     theta_d, theta_dot_d, _ = ref
     e = theta_meas - theta_d

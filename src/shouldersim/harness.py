@@ -28,7 +28,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union, get_args
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .trajectory import (
     DEFAULT_DT,
     JointLimits,
     RefSample,
-    _check_quintic_rates,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,
@@ -73,7 +72,9 @@ class QuinticRef:
             raise ValueError(f"quintic reference needs finite values and T > 0, got {self!r}")
         if self.T * self.T == 0.0:  # quintic_eval divides by T * T
             raise ValueError(f"quintic reference T = {self.T!r} is too small: T * T underflows to 0")
-        _check_quintic_rates(self.theta0, self.thetaf, self.T)
+        d, T = float(self.thetaf) - float(self.theta0), float(self.T)  # an infinite d is build_reference's to report
+        if math.isfinite(d) and not (math.isfinite(30.0 * d / T) and math.isfinite(60.0 * d / (T * T))):
+            raise ValueError(f"quintic reference T = {T!r} is too small for a {d:.6g} rad move: 30 * d / T or 60 * d / (T * T) overflows")
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,11 @@ class TeachRef:
 
 
 ReferenceSpec = Union[QuinticRef, SineRef, TeachRef]
+_JOINT_FIELD_TYPES = {
+    "plant": (SecondOrderTf,), "design": (GpiDesign,), "limits": (JointLimits,),
+    "saturation": (SaturationLimits,), "reference": get_args(ReferenceSpec),
+    "disturbance": (DisturbanceSpec, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,13 @@ class JointConfig:
     saturation: SaturationLimits
     reference: ReferenceSpec
     disturbance: Optional[DisturbanceSpec] = None
+
+    def __post_init__(self):
+        for name, accepted in _JOINT_FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, accepted):
+                names = " or ".join("None" if t is type(None) else t.__name__ for t in accepted)
+                raise TypeError(f"JointConfig.{name} must be {names}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +154,11 @@ class Scenario:
         object.__setattr__(self, "joints", MappingProxyType(dict(self.joints)))
         if not self.joints:
             raise ValueError("scenario needs at least one joint")
-        for joint in self.joints:
+        for joint, cfg in self.joints.items():
             if not _JOINT_NAME.fullmatch(joint):
                 raise ValueError(f"joint name {joint!r} must match {_JOINT_NAME.pattern}")
+            if not isinstance(cfg, JointConfig):
+                raise TypeError(f"joint {joint} must be a JointConfig, got {type(cfg).__name__}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
@@ -192,10 +207,8 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
         out = quintic_eval(ref.theta0, ref.thetaf, ref.T, np.arange(n) * dt)
     elif isinstance(ref, SineRef):
         out = sine_ref(ref.A, ref.f, ref.k, np.arange(n), dt)
-    elif isinstance(ref, TeachRef):
+    else:  # a TeachRef: JointConfig admits no other kind
         out = differentiate_teach(ref.demo, dt, n, smooth=ref.smooth)
-    else:
-        raise TypeError(f"unknown reference spec {type(ref).__name__}")
     for name, values in zip(RefSample._fields, out):
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
@@ -423,7 +436,7 @@ def _joint_from_dict(joint: str, d, base_dir) -> JointConfig:
     """_from_dict for one joint; any error decoding it names the joint first, as run_scenario does."""
     try:
         return _from_dict(JointConfig, d, base_dir)
-    except (TypeError, ValueError) as ex:
+    except (TypeError, ValueError, OSError) as ex:  # OSError: a teach file that cannot be read
         raise ValueError(f"joint {joint}: {ex}") from ex
 
 

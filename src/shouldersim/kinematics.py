@@ -18,6 +18,7 @@ import math
 
 # How far (m) a wrist position may lie off the sphere of radius l_a: a position
 # typed to 4 decimals in metres is within sqrt(3)*5e-5 m of its true value.
+# An arm shorter than 1 cm gets 1 % of l_a: 1e-4 m would accept points far off its sphere.
 _REACH_TOL = 1e-4
 
 
@@ -41,17 +42,17 @@ def inverse(x: float, y: float, z: float, l_a: float = 0.14) -> tuple:
 
     theta_s1 = atan2(y, x) and theta_s2 = asin(-z/l_a), with -z/l_a clipped
     to [-1, 1]. Raises ValueError("unreachable: ...") when |p| is more than
-    1e-4 m away from the arm length and ValueError("singular (gimbal)
+    min(1e-4 m, 1 % of l_a) away from the arm length and ValueError("singular (gimbal)
     configuration") when x = y = 0, where theta_s1 is undefined.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("wrist position must be finite")
     _check_arm_length(l_a)
-    radius = math.hypot(x, y, z)
-    if abs(radius - l_a) > _REACH_TOL:
+    radius, tol = math.hypot(x, y, z), min(_REACH_TOL, 0.01 * l_a)
+    if abs(radius - l_a) > tol:
         raise ValueError(
             f"unreachable: |p| = {radius:.6g} m, but the wrist lies on the sphere "
-            f"of radius l_a = {l_a:g} m (tolerance {_REACH_TOL:g} m)"
+            f"of radius l_a = {l_a:g} m (tolerance {tol:g} m)"
         )
     if x == 0.0 and y == 0.0:
         raise ValueError("singular (gimbal) configuration")

@@ -100,9 +100,8 @@ def to_continuous(d, ts: float) -> SecondOrderTf:
     substitution singular; that raises ValueError("Tustin singularity").
     A pole at z -> 1 (gamma2 -> 0) and a non-finite coefficient are
     rejected by the SecondOrderTf invariants rather than silently accepted.
+    ts is an IoRecord's, so it is already finite and > 0.
     """
-    if ts <= 0:
-        raise ValueError(f"ts must be > 0, got {ts!r}")
     a1, a2, b0 = d
     edge = 1.0 - a1 + a2
     if abs(edge) < 1e-12:

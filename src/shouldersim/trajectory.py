@@ -47,24 +47,15 @@ class RefSample(NamedTuple):
     theta_ddot_d: float | np.ndarray
 
 
-def _check_quintic_rates(theta0: float, thetaf: float, T: float) -> None:
-    """Raise ValueError naming T when 30*d/T or 60*d/(T*T) overflows while d = thetaf - theta0 is finite."""
-    d, T = float(thetaf) - float(theta0), float(T)
-    if math.isfinite(d) and not (math.isfinite(30.0 * d / T) and math.isfinite(60.0 * d / (T * T))):
-        raise ValueError(f"quintic reference T = {T!r} is too small for a {d:.6g} rad move: 30 * d / T or 60 * d / (T * T) overflows")
-
-
 def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
     The closed form theta0 + (thetaf - theta0)(10 s^3 - 15 s^4 + 6 s^5) with
     s = t/T has zero velocity and acceleration at both ends. Outside [0, T]
     the nearest boundary sample is held. t is a float or an array of times.
-    A T so small that a velocity or acceleration scale overflows raises ValueError.
+    T is not checked here: QuinticRef rejects a T that is not > 0, whose square
+    underflows, or so small that a velocity or acceleration scale overflows.
     """
-    if not T > 0 or T * T == 0.0:  # not T > 0: NaN too
-        raise ValueError(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")
-    _check_quintic_rates(theta0, thetaf, T)
     s = np.clip(t, 0.0, T) / T
     r = 1.0 - s
     d = thetaf - theta0
@@ -80,10 +71,8 @@ def sine_ref(A: float, f: float, k: float, t, dt: float) -> RefSample:
 
     t is the controller tick index (or an array of them) and f, k are
     per-tick quantities; the derivatives are taken with respect to
-    wall-clock time (tick * dt).
+    wall-clock time (tick * dt). A is not checked here: SineRef requires A > 0.
     """
-    if A <= 0:
-        raise ValueError(f"A must be > 0, got {A!r}")
     phase = f * t + k
     half = 0.5 * A
     w = f / dt
@@ -130,10 +119,8 @@ def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = Fals
     the raw velocity, without a warning. The demonstration must last at least
     one tick. One longer than the run replays its first n ticks; past the end
     of a shorter one the reference is held at its final angle with zero
-    velocity and acceleration.
+    velocity and acceleration. dt > 0 is Scenario's check, not repeated here.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
     duration = float(demo[-1, 0]) - float(demo[0, 0])
     # ticks n..n+2 feed only tick n-1's central difference and 5-tap window: n + 3 points suffice
     m = math.floor(min(duration / dt + 1e-9, n + 2)) + 1

@@ -25,19 +25,16 @@ from shouldersim import (
     closed_loop_char_poly,
     compute_gains,
     decimate_record,
-    differentiate_teach,
     estimate_tf,
     fit_percent,
-    hurwitz_poly,
     load_scenario,
     multisine_profile,
     presets,
-    quintic_eval,
-    record_teach,
     run_scenario,
     simulate_record,
-    sine_ref,
 )
+from shouldersim.gpi import hurwitz_poly
+from shouldersim.trajectory import differentiate_teach, quintic_eval, record_teach, sine_ref
 from shouldersim.kinematics import forward, inverse
 
 SCENARIOS = presets.scenario_dir()

@@ -92,6 +92,15 @@ def test_ik_rejects_a_point_off_the_arm_sphere(capsys):
     assert printed_value(capsys.readouterr().out, "theta_s1") == pytest.approx(0.698241, abs=1e-6)
 
 
+def test_ik_rejects_a_point_off_the_sphere_of_an_arm_shorter_than_its_default_tolerance(capsys):
+    # |p| = 7.07e-5 m is 6e-5 m off a 1e-5 m arm: within 1e-4 m, but not within 1 % of l_a
+    err = one_line_error(capsys, ["ik", "--x", "0", "--y", "0.00005", "--z=-0.00005", "--la", "0.00001"]).err
+    assert err == (
+        "error: unreachable: |p| = 7.07107e-05 m, but the wrist lies on the sphere "
+        "of radius l_a = 1e-05 m (tolerance 1e-07 m)\n"
+    )
+
+
 _FK = ["fk", "--theta1", "0", "--theta2", "0"]
 _IK = ["ik", "--x", "0.14", "--y", "0", "--z", "0"]
 
@@ -538,6 +547,16 @@ def test_run_names_the_joint_whose_teach_file_is_missing(tmp_path, capsys):
 
     err = run_edited_scenario(tmp_path, capsys, edit, name="reach_q5").err
     assert err == f"error: joint fe: teach file not found: {tmp_path / 'nope.csv'}\n"
+
+
+def test_run_names_the_joint_whose_teach_file_cannot_be_read(tmp_path, capsys):
+    (tmp_path / "demo.csv").mkdir()
+
+    def edit(d):
+        d["joints"]["abad"]["reference"]["file"] = str(tmp_path / "demo.csv")
+
+    err = run_edited_scenario(tmp_path, capsys, edit, name="teach_repeat").err
+    assert err.startswith("error: joint abad: [Errno ") and str(tmp_path / "demo.csv") in err
 
 
 @pytest.mark.parametrize("top", [[1, 2], "x", 3, None])

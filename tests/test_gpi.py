@@ -11,20 +11,17 @@ from shouldersim import (
     JointConfig,
     JointLimits,
     QuinticRef,
-    RefSample,
     SaturationLimits,
     Scenario,
     SecondOrderTf,
     closed_loop_char_poly,
     compute_gains,
-    control_step,
-    feedforward,
-    hurwitz_poly,
     presets,
-    quintic_eval,
     run_scenario,
-    step,
 )
+from shouldersim.gpi import control_step, feedforward, hurwitz_poly
+from shouldersim.plant import step
+from shouldersim.trajectory import RefSample, quintic_eval
 
 G1 = SecondOrderTf(gamma0=0.0005725, gamma1=0.05725, gamma2=0.044)
 G2 = SecondOrderTf(gamma0=0.0003665, gamma1=0.213, gamma2=0.04079)

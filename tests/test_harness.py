@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import re
+import sys
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -17,22 +18,19 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 from shouldersim import (
     DisturbanceSpec,
     GpiDesign,
+    IoRecord,
     JointConfig,
     JointLimits,
     JointSeries,
     QuinticRef,
-    RefSample,
     SaturationLimits,
     Scenario,
     SecondOrderTf,
     SimResult,
     SineRef,
     TeachRef,
-    build_reference,
-    compute_metrics,
     export_csv,
     export_plot,
-    feedforward,
     load_scenario,
     load_series_csv,
     presets,
@@ -40,9 +38,17 @@ from shouldersim import (
     save_scenario,
 )
 from shouldersim import harness, sysid, trajectory
-from shouldersim.harness import metrics_to_dict, scenario_from_dict, scenario_to_dict, write_artifacts
+from shouldersim.gpi import feedforward
+from shouldersim.harness import (
+    build_reference,
+    compute_metrics,
+    metrics_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
+    write_artifacts,
+)
 from shouldersim.plotting import render_svg
-from shouldersim.trajectory import DEFAULT_DT, quintic_eval
+from shouldersim.trajectory import DEFAULT_DT, RefSample, quintic_eval
 
 
 def default_scenario(reference, joint="abad", duration=10.0, disturbance=None, **kwargs):
@@ -96,6 +102,67 @@ def test_scenario_validation():
         QuinticRef(0.1745, 0.6981, 0.0)
     with pytest.raises(ValueError):
         SineRef(0.0, 1.6e-3, 300.0)
+
+
+ABAD_JOINT = default_scenario(QuinticRef(0.1745, 0.6981, 10.0)).joints["abad"]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"plant": None}, "JointConfig.plant must be SecondOrderTf, got NoneType"),
+        ({"design": (0.9, 6.1)}, "JointConfig.design must be GpiDesign, got tuple"),
+        ({"limits": presets.DEFAULT_SATURATION}, "JointConfig.limits must be JointLimits, got SaturationLimits"),
+        ({"saturation": presets.ABAD_LIMITS}, "JointConfig.saturation must be SaturationLimits, got JointLimits"),
+        ({"reference": (0.1, 0.2, 5.0)}, "JointConfig.reference must be QuinticRef or SineRef or TeachRef, got tuple"),
+        ({"disturbance": 5.0}, "JointConfig.disturbance must be DisturbanceSpec or None, got float"),
+    ],
+)
+def test_joint_config_rejects_a_field_of_another_type(changes, message):
+    with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
+        dataclasses.replace(ABAD_JOINT, **changes)
+
+
+def test_scenario_rejects_a_joint_that_is_not_a_joint_config():
+    with pytest.raises(TypeError, match=r"^joint abad must be a JointConfig, got int$"):
+        Scenario(joints={"abad": 3})
+    with pytest.raises(TypeError, match=r"^joint fe must be a JointConfig, got dict$"):
+        Scenario(joints={"abad": ABAD_JOINT, "fe": dataclasses.asdict(ABAD_JOINT)})
+
+
+def old_quintic_eval_guard(theta0, thetaf, T):
+    """Whether quintic_eval raised for T before it left the check of T to QuinticRef."""
+    d = thetaf - theta0
+    return not T > 0 or T * T == 0.0 or not (math.isfinite(30.0 * d / T) and math.isfinite(60.0 * d / (T * T)))
+
+
+def raises(call):
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+# nan, +-inf, +-0.0, subnormals, negatives, a T whose square underflows (1e-162)
+# and T whose rate scales overflow for a 0.2 rad move (1e-161, 2e-154)
+boundary_float = st.floats() | st.sampled_from([
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+    -1.0, sys.float_info.max, 1e-162, 1e-161, 2e-154, 3e-154,
+])
+
+
+@settings(max_examples=500)
+@given(x=boundary_float, thetaf=st.sampled_from([0.1745, 0.3745, 1.396]))
+def test_the_boundary_rejects_exactly_the_constants_that_the_layers_no_longer_check(x, thetaf):
+    # control_step, plant.step, differentiate_teach and to_continuous trust dt (ts);
+    # quintic_eval trusts T and sine_ref trusts A
+    positive = 0.0 < x < math.inf
+    assert raises(lambda: Scenario({"abad": ABAD_JOINT}, dt=x, duration=sys.float_info.max)) is not positive
+    assert raises(lambda: IoRecord(u=np.ones(10), theta=np.zeros(10), ts=x)) is not positive
+    quintic_rejected = not math.isfinite(x) or old_quintic_eval_guard(0.1745, thetaf, x)
+    assert raises(lambda: QuinticRef(0.1745, thetaf, x)) is quintic_rejected
+    assert raises(lambda: SineRef(A=x, f=1.6e-3, k=300.0)) is not positive
 
 
 def test_sample_count_for_ten_second_run():

@@ -172,6 +172,27 @@ def test_inverse_accepts_the_arm_sphere_and_rejects_points_off_it(theta_s1, thet
         inverse(*off, l_a)
 
 
+@settings(max_examples=300)
+@given(
+    theta_s1=st.floats(-math.pi, math.pi),
+    theta_s2=st.floats(-1.5, 1.5),
+    l_a=st.floats(1e-9, 0.05),
+    offset=st.floats(-0.99, 0.99) | st.floats(1.01, 1e3) | st.floats(-50.0, -1.01),
+)
+def test_inverse_holds_an_arm_shorter_than_1_cm_to_1_percent_of_its_length(theta_s1, theta_s2, l_a, offset):
+    # offset is in units of the tolerance, which is 1 % of l_a below l_a = 1 cm
+    tol = min(1e-4, 0.01 * l_a)
+    p = forward(theta_s1, theta_s2, l_a)
+    inverse(*p, l_a)
+    scale = max(l_a + offset * tol, 0.5 * l_a) / l_a
+    off = [v * scale for v in p]
+    if abs(offset) > 1.0:
+        with pytest.raises(ValueError, match=re.escape(f"(tolerance {tol:g} m)")):
+            inverse(*off, l_a)
+    else:
+        inverse(*off, l_a)
+
+
 def test_inverse_rejects_gimbal_pose():
     # wrist straight down: x = y = 0 leaves theta_s1 undefined
     with pytest.raises(ValueError, match="singular"):

@@ -7,13 +7,12 @@ from shouldersim import (
     SecondOrderTf,
     decimate_record,
     estimate_tf,
-    fit_arx2,
     fit_percent,
     load_io_csv,
     multisine_profile,
     simulate_record,
-    to_continuous,
 )
+from shouldersim.sysid import fit_arx2, to_continuous
 
 G1 = SecondOrderTf(gamma0=0.0005725, gamma1=0.05725, gamma2=0.044)
 G2 = SecondOrderTf(gamma0=0.0003665, gamma1=0.213, gamma2=0.04079)

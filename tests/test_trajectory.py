@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shouldersim import (
-    DEFAULT_DT,
-    JointLimits,
+from shouldersim import DEFAULT_DT, JointLimits, QuinticRef, SineRef
+from shouldersim.trajectory import (
     RefSample,
     clamp_to_limits,
     differentiate_teach,
@@ -70,13 +69,14 @@ def test_quintic_eval_holds_beyond_duration():
     assert held.theta_dot_d == pytest.approx(0.0)
 
 
+# T and A are checked where a reference is declared (QuinticRef, SineRef), not
+# again each time quintic_eval or sine_ref samples one.
+
+
 def test_quintic_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        quintic_eval(0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        quintic_eval(0.0, 1.0, -3.0, 0.0)
-    with pytest.raises(ValueError, match="T must be > 0"):
-        quintic_eval(0.0, 1.0, math.nan, 0.0)
+    for T in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="T > 0"):
+            QuinticRef(0.0, 1.0, T)
 
 
 def test_quintic_boundary_residuals_property():
@@ -141,8 +141,8 @@ def test_sine_wall_clock_derivatives():
 
 
 def test_sine_rejects_non_positive_amplitude():
-    with pytest.raises(ValueError):
-        sine_ref(A=0.0, f=1.6e-3, k=300.0, t=0.0, dt=DEFAULT_DT)
+    with pytest.raises(ValueError, match="A > 0"):
+        SineRef(A=0.0, f=1.6e-3, k=300.0)
 
 
 def test_record_teach_constant_demo():
@@ -412,8 +412,8 @@ def test_differentiate_teach_resamples_no_more_than_the_run():
 
 @pytest.mark.parametrize("T", [1e-300, 1e-162, 5e-324])
 def test_quintic_rejects_a_duration_whose_square_underflows(T):
-    with pytest.raises(ValueError, match=re.escape(f"T must be > 0 and T * T must not underflow to 0, got {T!r}")):
-        quintic_eval(0.0, 1.0, T, 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"quintic reference T = {T!r} is too small: T * T underflows to 0")):
+        QuinticRef(0.0, 1.0, T)
 
 
 @pytest.mark.parametrize("T", [1e-161, 2e-154])
@@ -421,7 +421,7 @@ def test_quintic_rejects_a_duration_whose_acceleration_scale_overflows(T):
     # T * T is nonzero, but 60 * d / (T * T) is inf, and inf times s = 0 at tick 0 would be NaN
     message = f"quintic reference T = {T!r} is too small for a 0.2 rad move: 30 * d / T or 60 * d / (T * T) overflows"
     with pytest.raises(ValueError, match=re.escape(message)):
-        quintic_eval(0.1745, 0.3745, T, np.arange(3) * 0.065)
+        QuinticRef(0.1745, 0.3745, T)
 
 
 def test_quintic_evaluates_the_shortest_duration_whose_scales_are_finite():
