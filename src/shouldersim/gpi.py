@@ -29,7 +29,6 @@ from math import inf
 import numpy as np
 
 from .plant import SecondOrderTf
-from .trajectory import RefSample
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,10 @@ def closed_loop_char_poly(gains, tf: SecondOrderTf) -> np.ndarray:
     ])
 
 
-def feedforward(tf: SecondOrderTf, ref: RefSample) -> float:
+def feedforward(tf: SecondOrderTf, ref: tuple):
     """Nominal input u_d = (theta_ddot_d + gamma1*theta_dot_d + gamma2*theta_d) / gamma0.
 
-    ref is any (theta_d, theta_dot_d, theta_ddot_d) triple.
+    ref is a (theta_d, theta_dot_d, theta_ddot_d) triple of floats or of arrays.
     """
     theta_d, theta_dot_d, theta_ddot_d = ref
     return (theta_ddot_d + tf.gamma1 * theta_dot_d + tf.gamma2 * theta_d) / tf.gamma0
@@ -142,7 +141,7 @@ def control_step(
     gains,
     tf: SecondOrderTf,
     theta_meas: float,
-    ref: RefSample,
+    ref: tuple,
     dt: float,
     sat: SaturationLimits,
 ):
@@ -156,8 +155,8 @@ def control_step(
     proportional term, theta_dot0 the initial velocity estimate subtracted in
     the reconstruction, and u_prev/e_prev the previous tick's input and error.
 
-    gains is compute_gains' (k0, k1, k2, k3), and ref is any (theta_d,
-    theta_dot_d, theta_ddot_d) triple of floats. All
+    gains is compute_gains' (k0, k1, k2, k3), and ref is the tick's float triple
+    (theta_d, theta_dot_d, u_d), u_d being feedforward's value for that tick. All
     integrals advance by the trapezoidal rule over the interval h since the
     previous tick. The first tick has no preceding interval: it is the
     h = 0 case, so the integrals stay at 0 and the implicit correction
@@ -172,7 +171,7 @@ def control_step(
     if not -inf < theta_meas < inf:
         raise ValueError("non-finite measurement rejected")
 
-    theta_d, theta_dot_d, _ = ref
+    theta_d, theta_dot_d, u_d = ref
     e = theta_meas - theta_d
     if cs is None:
         int_e_prev = dint_e_prev = theta_int_prev = h = u_prev = 0.0
@@ -181,7 +180,6 @@ def control_step(
     else:
         int_e_prev, dint_e_prev, theta_int_prev, e0, theta_dot0, u_prev, e_prev = cs
         h = dt
-    u_d = feedforward(tf, ref)
     k0, k1, k2, k3 = gains
 
     int_e = int_e_prev + 0.5 * h * (e_prev + e)

@@ -12,10 +12,10 @@ A taught demonstration is read and validated once, when its TeachRef is
 built, so a malformed demonstration fails load_scenario with its file and
 line. A run reads no files: it is a function of the Scenario value alone.
 
-Per joint the runner samples the whole reference, clamps it to the joint
-limits and draws the measurement noise, each once, on arrays. Then per tick
-it reads the plant angle (plus that tick's noise), runs the control law and
-advances the plant by one RK4 step with the applied, saturated command.
+Per joint the runner samples the whole reference, clamps it to the joint limits,
+computes its feedforward u_d and draws the measurement noise, each once, on arrays.
+Then per tick it reads the plant angle (plus that tick's noise), runs the control
+law and advances the plant by one RK4 step with the applied, saturated command.
 """
 from __future__ import annotations
 
@@ -38,12 +38,12 @@ from .gpi import (
     SaturationLimits,
     compute_gains,
     control_step,
+    feedforward,
 )
 from .plant import DisturbanceSpec, SecondOrderTf, step as plant_step
 from .trajectory import (
     DEFAULT_DT,
     JointLimits,
-    RefSample,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,
@@ -57,6 +57,14 @@ SETTLE_BAND = 0.03
 _MAX_NOISE = sys.float_info.max / 2.0
 # Joint names become file names and SVG ids, so they are kept to safe characters.
 _JOINT_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _checked_names(joints: Mapping) -> Mapping:
+    """joints itself, once each of its keys is found to be a safe joint name; else ValueError."""
+    for joint in joints:
+        if not _JOINT_NAME.fullmatch(joint):
+            raise ValueError(f"joint name {joint!r} must match {_JOINT_NAME.pattern}")
+    return joints
 
 
 @dataclass(frozen=True)
@@ -154,9 +162,7 @@ class Scenario:
         object.__setattr__(self, "joints", MappingProxyType(dict(self.joints)))
         if not self.joints:
             raise ValueError("scenario needs at least one joint")
-        for joint, cfg in self.joints.items():
-            if not _JOINT_NAME.fullmatch(joint):
-                raise ValueError(f"joint name {joint!r} must match {_JOINT_NAME.pattern}")
+        for joint, cfg in _checked_names(self.joints).items():
             if not isinstance(cfg, JointConfig):
                 raise TypeError(f"joint {joint} must be a JointConfig, got {type(cfg).__name__}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -197,8 +203,8 @@ class SimResult:
 
 
 @np.errstate(all="ignore")  # an overflow is reported by the finiteness check, not warned
-def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
-    """Sample a reference spec at ticks 0..n-1 as one RefSample of length-n arrays.
+def build_reference(ref: ReferenceSpec, dt: float, n: int) -> tuple:
+    """Sample a reference spec at ticks 0..n-1 as a (theta_d, theta_dot_d, theta_ddot_d) tuple of arrays.
 
     A reference that is not finite at some tick (it overflowed) raises
     ValueError.
@@ -209,7 +215,7 @@ def build_reference(ref: ReferenceSpec, dt: float, n: int) -> RefSample:
         out = sine_ref(ref.A, ref.f, ref.k, np.arange(n), dt)
     else:  # a TeachRef: JointConfig admits no other kind
         out = differentiate_teach(ref.demo, dt, n, smooth=ref.smooth)
-    for name, values in zip(RefSample._fields, out):
+    for name, values in zip(("theta_d", "theta_dot_d", "theta_ddot_d"), out):
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise ValueError(f"reference {name} is not finite at tick {bad[0]}: {float(values[bad[0]])!r}")
@@ -233,10 +239,12 @@ def run_scenario(s: Scenario) -> SimResult:
     series: Dict[str, JointSeries] = {}
     for idx, (joint, cfg) in enumerate(s.joints.items()):
         try:
-            ref = clamp_to_limits(build_reference(cfg.reference, s.dt, n), cfg.limits)
+            theta_d, theta_dot_d, _ = ref = clamp_to_limits(build_reference(cfg.reference, s.dt, n), cfg.limits)
             gains = compute_gains(cfg.design, cfg.plant)
         except ValueError as ex:
             raise ValueError(f"joint {joint}: {ex}") from ex
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite u_d reaches the law as float arithmetic gives it
+            u_d = feedforward(cfg.plant, ref)
 
         a = abs(s.noise_amplitude)  # Scenario accepts -0.0, and uniform(0.0, -0.0) is rejected
         noise = np.random.default_rng([s.seed, idx]).uniform(-a, a, size=n)
@@ -245,9 +253,9 @@ def run_scenario(s: Scenario) -> SimResult:
 
         theta_meas = np.empty(n)
         u_log = np.empty(n)
-        state = (float(ref.theta_d[0]), 0.0)
+        state = (float(theta_d[0]), 0.0)
         cs = None
-        ticks = zip(zip(*(x.tolist() for x in ref)), noise.tolist(), rho.tolist())
+        ticks = zip(zip(theta_d.tolist(), theta_dot_d.tolist(), u_d.tolist()), noise.tolist(), rho.tolist())
         try:
             for i, (ref_i, noise_i, rho_i) in enumerate(ticks):
                 meas = state[0] + noise_i
@@ -260,7 +268,7 @@ def run_scenario(s: Scenario) -> SimResult:
             raise ValueError(f"joint {joint}: tick {i} (t = {t[i]:g} s): {ex}") from ex
 
         series[joint] = JointSeries(
-            t=t, theta_d=ref.theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - ref.theta_d
+            t=t, theta_d=theta_d, theta_meas=theta_meas, u=u_log, e=theta_meas - theta_d
         )
     metrics = {joint: compute_metrics(js) for joint, js in series.items()}
     return SimResult(series=series, metrics=metrics)
@@ -298,8 +306,9 @@ def _atomic_write(path: Path, text: str) -> None:
     The temp name is random and created with O_EXCL, so concurrent writers of
     one path never share it and a reader sees one writer's whole file. The
     file mode comes from the umask, as with open(). The temp file is removed
-    only if this write fails.
+    only if this write fails. A missing directory of path is created first.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -319,13 +328,13 @@ def export_csv(r: SimResult, out_dir) -> List[Path]:
 
     The columns are the JointSeries fields. Files are written atomically
     (temp file, then rename) with LF line endings and float repr precision,
-    so re-importing reproduces the series bit-exactly.
+    so re-importing reproduces the series bit-exactly. A joint name that a
+    Scenario would reject raises ValueError before any file is written.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     row_format = ",".join(["%r"] * len(_SERIES_HEADER)) + "\n"
     written = []
-    for joint, series in r.series.items():
+    for joint, series in _checked_names(r.series).items():
         # One %-format over the row-major (n, 5) table keeps the per-row work in C.
         table = np.column_stack([getattr(series, name) for name in _SERIES_HEADER])
         body = (row_format * len(table)) % tuple(table.ravel().tolist())
@@ -342,10 +351,9 @@ def load_series_csv(path) -> JointSeries:
 
 
 def export_plot(r: SimResult, path) -> Path:
-    """Render the run as a stacked-panel SVG (one panel per joint)."""
+    """Render the run as a stacked-panel SVG (one panel per joint); an unsafe joint name raises ValueError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, plotting.render_svg(r.series))
+    _atomic_write(path, plotting.render_svg(_checked_names(r.series)))
     return path
 
 
@@ -490,6 +498,5 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(s: Scenario, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, json.dumps(scenario_to_dict(s), indent=2) + "\n")
     return path

@@ -1,7 +1,7 @@
 """Reference generators: quintic point-to-point, parametric sine, teach-and-repeat.
 
-All generators emit RefSample values carrying the desired angle and its first
-two time derivatives, so the controller never differentiates measurements.
+All generators return (theta_d, theta_dot_d, theta_ddot_d), floats or arrays: the desired angle
+and its first two time derivatives, so the controller never differentiates measurements.
 
 Note on the sine generator: its frequency f and phase k are expressed per
 controller tick, not per second (the hardware convention this mirrors used
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,19 +35,7 @@ class JointLimits:
             )
 
 
-class RefSample(NamedTuple):
-    """Desired angle (rad), velocity (rad/s) and acceleration (rad/s^2).
-
-    Each field holds a float (one tick) or a length-n array (a whole
-    reference, tick by tick).
-    """
-
-    theta_d: float | np.ndarray
-    theta_dot_d: float | np.ndarray
-    theta_ddot_d: float | np.ndarray
-
-
-def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
+def quintic_eval(theta0: float, thetaf: float, T: float, t) -> tuple:
     """Rest-to-rest quintic from theta0 to thetaf over [0, T], sampled at time t.
 
     The closed form theta0 + (thetaf - theta0)(10 s^3 - 15 s^4 + 6 s^5) with
@@ -59,14 +47,14 @@ def quintic_eval(theta0: float, thetaf: float, T: float, t) -> RefSample:
     s = np.clip(t, 0.0, T) / T
     r = 1.0 - s
     d = thetaf - theta0
-    return RefSample(
-        theta_d=theta0 + d * s * s * s * (10.0 + s * (-15.0 + 6.0 * s)),
-        theta_dot_d=30.0 * d / T * s * s * r * r,
-        theta_ddot_d=60.0 * d / (T * T) * s * r * (1.0 - 2.0 * s),
+    return (
+        theta0 + d * s * s * s * (10.0 + s * (-15.0 + 6.0 * s)),
+        30.0 * d / T * s * s * r * r,
+        60.0 * d / (T * T) * s * r * (1.0 - 2.0 * s),
     )
 
 
-def sine_ref(A: float, f: float, k: float, t, dt: float) -> RefSample:
+def sine_ref(A: float, f: float, k: float, t, dt: float) -> tuple:
     """Offset sine reference theta_d = (A/2) sin(f*t + k) + A/2.
 
     t is the controller tick index (or an array of them) and f, k are
@@ -76,10 +64,10 @@ def sine_ref(A: float, f: float, k: float, t, dt: float) -> RefSample:
     phase = f * t + k
     half = 0.5 * A
     w = f / dt
-    return RefSample(
-        theta_d=half * np.sin(phase) + half,
-        theta_dot_d=half * w * np.cos(phase),
-        theta_ddot_d=-half * w * w * np.sin(phase),
+    return (
+        half * np.sin(phase) + half,
+        half * w * np.cos(phase),
+        -half * w * w * np.sin(phase),
     )
 
 
@@ -107,7 +95,7 @@ def record_teach(samples) -> np.ndarray:
     return data
 
 
-def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = False) -> RefSample:
+def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = False) -> tuple:
     """Resample a record_teach demonstration onto a run's n ticks of dt and estimate acceleration.
 
     Angle and velocity are linearly interpolated; acceleration comes from
@@ -139,18 +127,18 @@ def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = Fals
     acc[0] = (theta_dot[1] - theta_dot[0]) / dt
     acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
     hold = (0, max(n - m, 0))
-    return RefSample(np.pad(theta[:n], hold, mode="edge"), np.pad(theta_dot[:n], hold), np.pad(acc[:n], hold))
+    return np.pad(theta[:n], hold, mode="edge"), np.pad(theta_dot[:n], hold), np.pad(acc[:n], hold)
 
 
-def clamp_to_limits(ref: RefSample, lim: JointLimits) -> RefSample:
-    """Clamp the desired angle into the joint interval.
+def clamp_to_limits(ref: tuple, lim: JointLimits) -> tuple:
+    """Clamp the desired angle of a (theta_d, theta_dot_d, theta_ddot_d) tuple into the joint interval.
 
     A clamped sample gets zero velocity and acceleration: the reference is
     parked at the limit, not moving through it. Works per tick or on arrays.
     """
-    inside = (lim.theta_min <= ref.theta_d) & (ref.theta_d <= lim.theta_max)
+    inside = (lim.theta_min <= ref[0]) & (ref[0] <= lim.theta_max)
     rates = (np.where(inside, x, 0.0)[()] for x in ref[1:])  # [()]: a float stays a float
-    return RefSample(np.clip(ref.theta_d, lim.theta_min, lim.theta_max), *rates)
+    return np.clip(ref[0], lim.theta_min, lim.theta_max), *rates
 
 
 def read_csv_rows(path, header: Sequence[str], what: str) -> Tuple[List[int], np.ndarray]:

@@ -211,15 +211,16 @@ def test_criterion_07_quintic_boundary_residuals():
     for _ in range(1000):
         theta0, thetaf = map(float, rng.uniform(-1.5, 1.5, size=2))
         T = float(rng.uniform(0.5, 30.0))
-        start, end = quintic_eval(theta0, thetaf, T, 0.0), quintic_eval(theta0, thetaf, T, T)
+        start_d, start_dot_d, start_ddot_d = quintic_eval(theta0, thetaf, T, 0.0)
+        end_d, end_dot_d, end_ddot_d = quintic_eval(theta0, thetaf, T, T)
         worst = max(
             worst,
-            abs(start.theta_d - theta0),
-            abs(start.theta_dot_d),
-            abs(start.theta_ddot_d),
-            abs(end.theta_d - thetaf),
-            abs(end.theta_dot_d),
-            abs(end.theta_ddot_d),
+            abs(start_d - theta0),
+            abs(start_dot_d),
+            abs(start_ddot_d),
+            abs(end_d - thetaf),
+            abs(end_dot_d),
+            abs(end_ddot_d),
         )
     ok = worst < 1e-9
     report(7, ok, f"1000 random endpoint pairs, worst boundary residual {worst:.2e}")
@@ -261,26 +262,26 @@ def test_criterion_09_teach_round_trip():
     # on-grid band-limited demonstration
     demo = []
     for tick in range(154):
-        s = sine_ref(0.8, 2.2e-3, 300.0, float(tick), dt)
-        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt, n=160)
-    assert refs.theta_dot_d[153] != 0.0 and not np.any(refs.theta_dot_d[154:])  # the hold begins at tick 154
+        theta_d, theta_dot_d, _ = sine_ref(0.8, 2.2e-3, 300.0, float(tick), dt)
+        demo.append((tick * dt, theta_d, theta_dot_d))
+    theta_d, theta_dot_d, _ = differentiate_teach(record_teach(demo), dt=dt, n=160)
+    assert theta_dot_d[153] != 0.0 and not np.any(theta_dot_d[154:])  # the hold begins at tick 154
     worst_grid = max(
-        abs(theta - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt).theta_d)
-        for i, theta in enumerate(refs.theta_d[:154])
+        abs(theta - sine_ref(0.8, 2.2e-3, 300.0, float(i), dt)[0])
+        for i, theta in enumerate(theta_d[:154])
     )
 
     # off-grid demonstration sampled at 10 ms, replayed on the control grid
     demo = []
     for i in range(601):
         t = i * 0.01
-        s = quintic_eval(0.3, 0.42, 6.0, t)
-        demo.append((t, s.theta_d, s.theta_dot_d))
-    refs = differentiate_teach(record_teach(demo), dt=dt, n=100)
-    assert refs.theta_dot_d[92] != 0.0 and not np.any(refs.theta_dot_d[93:])  # the hold begins at tick 93
+        theta_d, theta_dot_d, _ = quintic_eval(0.3, 0.42, 6.0, t)
+        demo.append((t, theta_d, theta_dot_d))
+    theta_d, theta_dot_d, _ = differentiate_teach(record_teach(demo), dt=dt, n=100)
+    assert theta_dot_d[92] != 0.0 and not np.any(theta_dot_d[93:])  # the hold begins at tick 93
     worst_offgrid = max(
-        abs(theta - quintic_eval(0.3, 0.42, 6.0, i * dt).theta_d)
-        for i, theta in enumerate(refs.theta_d[:93])
+        abs(theta - quintic_eval(0.3, 0.42, 6.0, i * dt)[0])
+        for i, theta in enumerate(theta_d[:93])
     )
 
     ok = worst_grid <= 1e-3 and worst_offgrid <= 1e-3

@@ -21,13 +21,19 @@ from shouldersim import (
 )
 from shouldersim.gpi import control_step, feedforward, hurwitz_poly
 from shouldersim.plant import step
-from shouldersim.trajectory import RefSample, quintic_eval
+from shouldersim.trajectory import quintic_eval
 
 G1 = SecondOrderTf(gamma0=0.0005725, gamma1=0.05725, gamma2=0.044)
 G2 = SecondOrderTf(gamma0=0.0003665, gamma1=0.213, gamma2=0.04079)
 S1_DESIGN = GpiDesign(xi=0.9, wn=6.1)
 S2_DESIGN = GpiDesign(xi=0.9, wn=10.25)
 WIDE = SaturationLimits(u_min=-1e9, u_max=1e9)
+
+
+def law_ref(tf, ref):
+    """The float triple control_step takes for a (theta_d, theta_dot_d, theta_ddot_d) sample."""
+    theta_d, theta_dot_d, _ = ref
+    return theta_d, theta_dot_d, feedforward(tf, ref)
 
 
 class State(NamedTuple):
@@ -50,9 +56,9 @@ def run_closed_loop(tf, design, theta0, thetaf, T, duration, dt, sat, rho_onset=
     e_log = np.empty(n)
     u_log = np.empty(n)
     for i in range(n):
-        ref = quintic_eval(theta0, thetaf, T, i * dt)
+        ref = law_ref(tf, quintic_eval(theta0, thetaf, T, i * dt))
         u, cs = control_step(cs, gains, tf, state[0], ref, dt, sat)
-        e_log[i] = state[0] - ref.theta_d
+        e_log[i] = state[0] - ref[0]
         u_log[i] = u
         if i < n - 1:
             r = rho if rho_onset is not None and i * dt >= rho_onset else 0.0
@@ -167,9 +173,35 @@ def test_pole_placement_identity_property():
 
 
 def test_feedforward_examples():
-    assert feedforward(G1, RefSample(0.0, 0.0, 0.0)) == 0.0
-    assert abs(feedforward(G1, RefSample(1.0, 0.0, 0.0)) - 76.85589519650655) < 1e-9
-    assert abs(feedforward(G2, RefSample(0.5585, 0.0, 0.0)) - 62.158840381991816) < 1e-9
+    assert feedforward(G1, (0.0, 0.0, 0.0)) == 0.0
+    assert abs(feedforward(G1, (1.0, 0.0, 0.0)) - 76.85589519650655) < 1e-9
+    assert abs(feedforward(G2, (0.5585, 0.0, 0.0)) - 62.158840381991816) < 1e-9
+
+
+# every finite float64 that a clamped reference can hold, with the edge cases drawn often
+REF_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, 1e300, -1e300]
+)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)  # subnormals included
+
+
+@settings(deadline=None)
+@given(
+    g=st.tuples(POSITIVE, st.floats(min_value=0.0, allow_infinity=False), POSITIVE),
+    ref=st.lists(st.tuples(REF_FLOATS, REF_FLOATS, REF_FLOATS), min_size=1, max_size=50),
+)
+@example(g=(1e-310, 0.05725, 0.044), ref=[(0.5, 0.0, 0.0), (1e300, -1e300, 1e300), (-0.0, 5e-324, -0.0)])
+@example(g=(1.0, 1e10, 1e10), ref=[(1e300, -1e300, 0.0), (-1e300, 1e300, -0.0)])  # inf - inf
+def test_feedforward_on_arrays_equals_the_per_tick_float_calls_bit_for_bit(g, ref):
+    # run_scenario computes u_d once per joint on the reference arrays; the
+    # control law used to compute it per tick on floats. Overflow (to inf)
+    # and inf - inf (to nan) are part of the contract, so numpy is told not to warn.
+    tf = SecondOrderTf(*g)
+    arrays = tuple(np.array(column, dtype=float) for column in zip(*ref))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = feedforward(tf, arrays)
+    want = np.array([feedforward(tf, tuple(map(float, sample))) for sample in ref])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_perfect_tracking_returns_feedforward():
@@ -180,18 +212,17 @@ def test_perfect_tracking_returns_feedforward():
     gains = compute_gains(S1_DESIGN, G1)
     dt = 0.065
     for t in (0.0, 2.5, 5.0, 7.75):
-        ref = quintic_eval(0.1745, 0.6981, 10.0, t)
-        u_d = feedforward(G1, ref)
-        cs = State(int_e=0.0, dint_e=0.0, theta_int=ref.theta_dot_d - 0.5 * dt * u_d,
+        theta_d, theta_dot_d, u_d = ref = law_ref(G1, quintic_eval(0.1745, 0.6981, 10.0, t))
+        cs = State(int_e=0.0, dint_e=0.0, theta_int=theta_dot_d - 0.5 * dt * u_d,
                    e0=0.0, theta_dot0=0.0, u_prev=0.0, e_prev=0.0)
-        u, _ = control_step(cs, gains, G1, ref.theta_d, ref, dt, WIDE)
+        u, _ = control_step(cs, gains, G1, theta_d, ref, dt, WIDE)
         assert abs(u - u_d) < 1e-12
 
 
 def test_constant_error_pure_proportional():
     gains = (0.0, 0.0, 1.0, 0.0)  # (k0, k1, k2, k3)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
-    ref = RefSample(0.0, 0.0, 0.0)
+    ref = law_ref(tf, (0.0, 0.0, 0.0))
     sat = SaturationLimits(-10.0, 10.0)
     cs = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # mid-run, at rest, with e0 = 0
     for _ in range(20):
@@ -203,7 +234,7 @@ def test_trapezoidal_integrals_exact():
     # dyadic dt and values make the trapezoid sums exact in floating point
     gains = (0.0, 0.0, 0.0, 0.0)
     tf = SecondOrderTf(1.0, 0.0, 1.0)
-    ref = RefSample(0.0, 0.0, 0.0)
+    ref = law_ref(tf, (0.0, 0.0, 0.0))
     dt, n = 0.25, 16
 
     cs = None
@@ -222,7 +253,7 @@ def test_trapezoidal_integrals_exact():
 
 def test_first_tick_captures_initial_error():
     gains = compute_gains(S1_DESIGN, G1)
-    ref = RefSample(0.5, 0.3, 0.0)
+    ref = law_ref(G1, (0.5, 0.3, 0.0))
     u, nxt = control_step(None, gains, G1, 0.41, ref, 0.065, WIDE)
     nxt = State._make(nxt)
     assert nxt.e0 == pytest.approx(-0.09)
@@ -236,7 +267,7 @@ def test_first_tick_captures_initial_error():
 
 def test_rejects_non_finite_measurement():
     gains = compute_gains(S1_DESIGN, G1)
-    ref = RefSample(0.5, 0.0, 0.0)
+    ref = law_ref(G1, (0.5, 0.0, 0.0))
     with pytest.raises(ValueError, match="non-finite measurement rejected"):
         control_step(None, gains, G1, float("nan"), ref, 0.065, WIDE)
 
@@ -247,8 +278,8 @@ def test_saturation_safety_property():
     gains = compute_gains(S1_DESIGN, G1)
     cs = None
     for _ in range(300):
-        ref = RefSample(float(rng.uniform(0.0, 1.4)), float(rng.uniform(-1, 1)),
-                        float(rng.uniform(-1, 1)))
+        ref = law_ref(G1, (float(rng.uniform(0.0, 1.4)), float(rng.uniform(-1, 1)),
+                           float(rng.uniform(-1, 1))))
         meas = float(rng.uniform(-2.0, 2.0))
         u, cs = control_step(cs, gains, G1, meas, ref, 0.065, sat)
         assert 0.0 <= u <= 100.0
@@ -257,7 +288,7 @@ def test_saturation_safety_property():
 def test_anti_windup_freezes_error_integrals():
     gains = compute_gains(S1_DESIGN, G1)
     sat = SaturationLimits(0.0, 100.0)
-    ref = RefSample(0.5, 0.0, 0.0)
+    ref = law_ref(G1, (0.5, 0.0, 0.0))
     cs = State._make(control_step(None, gains, G1, 0.5, ref, 0.065, sat)[1])
 
     # a large positive error drives u_raw far below u_min: clamped tick

@@ -6,6 +6,7 @@ import pickle
 import re
 import sys
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import MappingProxyType
@@ -47,8 +48,9 @@ from shouldersim.harness import (
     scenario_to_dict,
     write_artifacts,
 )
+from shouldersim.plant import step
 from shouldersim.plotting import render_svg
-from shouldersim.trajectory import DEFAULT_DT, RefSample, quintic_eval
+from shouldersim.trajectory import DEFAULT_DT, quintic_eval
 
 
 def default_scenario(reference, joint="abad", duration=10.0, disturbance=None, **kwargs):
@@ -173,10 +175,11 @@ def test_sample_count_for_ten_second_run():
 def test_reference_builders():
     refs = build_reference(QuinticRef(0.2, 0.9, 5.0), dt=0.065, n=120)
     assert [len(x) for x in refs] == [120, 120, 120]
-    assert refs.theta_d[0] == pytest.approx(0.2)
+    theta_d, theta_dot_d, _ = refs
+    assert theta_d[0] == pytest.approx(0.2)
     # beyond the quintic duration the reference parks at the target
-    assert refs.theta_d[-1] == pytest.approx(0.9)
-    assert refs.theta_dot_d[-1] == pytest.approx(0.0)
+    assert theta_d[-1] == pytest.approx(0.9)
+    assert theta_dot_d[-1] == pytest.approx(0.0)
 
     refs = build_reference(SineRef(1.0, 1.6e-3, 300.0), dt=0.065, n=50)
     assert [len(x) for x in refs] == [50, 50, 50]
@@ -196,8 +199,9 @@ def test_teach_reference_holds_after_demo_ends():
     refs = build_reference(TeachRef(file=str(demo)), dt=0.065, n=200)
     assert [len(x) for x in refs] == [200, 200, 200]
     # the demo covers 5 s = 77 grid samples; the tail holds the final angle
-    assert np.all(refs.theta_d[76:] == refs.theta_d[76])
-    assert np.all(refs.theta_dot_d[77:] == 0.0) and np.all(refs.theta_ddot_d[77:] == 0.0)
+    theta_d, theta_dot_d, theta_ddot_d = refs
+    assert np.all(theta_d[76:] == theta_d[76])
+    assert np.all(theta_dot_d[77:] == 0.0) and np.all(theta_ddot_d[77:] == 0.0)
     # a run shorter than the demo takes its first n samples
     head = build_reference(TeachRef(file=str(demo)), dt=0.065, n=10)
     assert all(np.array_equal(h, r[:10]) for h, r in zip(head, refs))
@@ -380,10 +384,30 @@ def test_zero_length_reference_at_raised_angle():
     # absorbs it and the command settles back onto the feedforward value
     s = default_scenario(QuinticRef(0.5, 0.5, 10.0), duration=20.0)
     se = run_scenario(s).series["abad"]
-    u_d = feedforward(presets.ABAD_PLANT, RefSample(0.5, 0.0, 0.0))
+    u_d = feedforward(presets.ABAD_PLANT, (0.5, 0.0, 0.0))
     assert np.max(np.abs(se.e)) < 2e-3
     assert abs(se.e[-1]) < 1e-9
     assert abs(se.u[-1] - u_d) < 1e-9
+
+
+def test_a_plant_whose_u_d_overflows_runs_saturated_without_a_warning():
+    # gamma0 = 1e-310 makes u_d = (... + gamma2 * theta_d) / gamma0 overflow to
+    # inf on every tick, so u is u_max from tick 0. u_d is computed on the whole
+    # reference at once, and numpy must stay as silent as the per-tick float division was
+    plant = SecondOrderTf(1e-310, presets.ABAD_PLANT.gamma1, presets.ABAD_PLANT.gamma2)
+    cfg = JointConfig(plant=plant, design=presets.ABAD_DESIGN, limits=presets.ABAD_LIMITS,
+                      saturation=presets.DEFAULT_SATURATION, reference=QuinticRef(0.5, 1.0, 10.0))
+    s = Scenario(joints={"abad": cfg})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = run_scenario(s).series["abad"]
+    assert np.all(series.u == presets.DEFAULT_SATURATION.u_max)
+    # gamma0 * u is 1e-308: the plant swings from rest at 0.5 rad as if it had no input
+    state, swing = (0.5, 0.0), []
+    for _ in range(s.n_samples):
+        swing.append(state[0])
+        state = step(state, plant, 100.0, 0.0, s.dt)
+    assert series.theta_meas.tolist() == swing
 
 
 def test_determinism_with_noise():
@@ -616,6 +640,25 @@ def test_csv_export_of_empty_series_is_header_only(tmp_path):
     result = SimResult(series={"abad": empty}, metrics={})
     (path,) = export_csv(result, tmp_path)
     assert path.read_text() == "t,theta_d,theta_meas,u,e\n"
+
+
+@pytest.mark.parametrize("export", ["write_artifacts", "export_csv", "export_plot"])
+@pytest.mark.parametrize("joint", ["../escaped", 'a" onload="x'])
+def test_export_rejects_a_joint_name_that_a_scenario_rejects(tmp_path, joint, export):
+    # SimResult and JointSeries are public, so the exporters can be handed a name
+    # that no Scenario checked: here a file name outside out/ or markup in an SVG id
+    js = JointSeries(*np.zeros((5, 3)))
+    result = SimResult(series={"abad": js, joint: js}, metrics={})
+    out = tmp_path / "out"
+    calls = {
+        "write_artifacts": lambda: write_artifacts(result, out),
+        "export_csv": lambda: export_csv(result, out),
+        "export_plot": lambda: export_plot(result, out / "plot.svg"),
+    }
+    message = "^" + re.escape(f"joint name {joint!r} must match [A-Za-z0-9_-]+") + "$"
+    with pytest.raises(ValueError, match=message):
+        calls[export]()
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_concurrent_exports_to_one_path_publish_whole_files(tmp_path):

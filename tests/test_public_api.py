@@ -1,9 +1,10 @@
-"""The package's public names, pinned: adding or removing one shows in the diff.
+"""The package's public names and module layering, pinned: changing either shows in the diff.
 
 The root exports what a user calls. The per-tick and per-array layers (the
 control law, the plant step, the reference samplers) are importable from
 their modules only, so they can change without changing this list.
 """
+import ast
 import os
 import re
 import subprocess
@@ -21,6 +22,20 @@ PUBLIC_NAMES = [
     "multisine_profile", "run_scenario", "save_scenario", "simulate_record", "write_artifacts",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
+# module -> the package modules it imports; the layers below a module never import it
+LAYERS = {
+    "plant": set(),
+    "trajectory": set(),
+    "kinematics": set(),
+    "plotting": set(),
+    "gpi": {"plant"},
+    "sysid": {"plant", "trajectory"},
+    "presets": {"gpi", "plant", "trajectory"},
+    "harness": {"gpi", "plant", "plotting", "trajectory"},
+    "cli": {"gpi", "harness", "kinematics", "plant", "presets", "sysid", "trajectory"},
+    "__init__": {"gpi", "harness", "kinematics", "plant", "sysid", "trajectory"},
+    "__main__": {"cli"},
+}
 
 
 def test_public_names_are_pinned():
@@ -54,3 +69,25 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def package_imports(source: str) -> set:
+    """The shouldersim modules that a module's source imports, anywhere in it.
+
+    Relative (from .gpi import x, from . import gpi) and absolute forms both
+    count; each import is named by its first component under the package.
+    """
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["shouldersim", node.module])) if node.level else node.module
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("shouldersim.")}
+
+
+def test_package_imports_one_way():
+    package = Path(shouldersim.__file__).resolve().parent
+    imports = {path.stem: package_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert imports == LAYERS

@@ -1,11 +1,12 @@
 """The per-tick layers against their frozen-dataclass originals, bit for bit.
 
 gpi.control_step and plant.step run on floats. control_step starts from
-None and then takes back the plain 7-tuple it returned; plant.step takes and
-returns a plain (theta, theta_dot) pair. The dataclass versions they
-replaced are kept below, unchanged, as the oracle:
+None and then takes back the plain 7-tuple it returned, and it takes the
+reference as (theta_d, theta_dot_d, u_d) with u_d = feedforward(tf, sample);
+plant.step takes and returns a plain (theta, theta_dot) pair. The dataclass
+versions they replaced are kept below, unchanged, as the oracle:
 OracleControllerState/oracle_control_step (with the attribute-access
-feedforward) and OraclePlantState/oracle_step. The oracle starts from
+feedforward on an OracleRef sample) and OraclePlantState/oracle_step. The oracle starts from
 OracleControllerState(theta_dot0=<the first reference velocity>), the state
 that control_step's None stands for. Whole closed-loop runs over random
 designs, plants, saturation bounds, references, noise, rho and dt must give
@@ -35,9 +36,16 @@ from shouldersim import (
     compute_gains,
     simulate_record,
 )
-from shouldersim.gpi import control_step
+from shouldersim.gpi import control_step, feedforward
 from shouldersim.plant import step
-from shouldersim.trajectory import RefSample
+
+
+class OracleRef(NamedTuple):
+    """The oracle's reference sample, read by name."""
+
+    theta_d: float
+    theta_dot_d: float
+    theta_ddot_d: float
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,15 @@ def oracle_step(state, tf, u, rho, dt):
     return OraclePlantState(theta=theta, theta_dot=theta_dot)
 
 
+def law_ref(tf, ref):
+    """The (theta_d, theta_dot_d, u_d) triple that control_step takes for a reference sample."""
+    return ref[0], ref[1], feedforward(tf, ref)
+
+
+def oracle_ref(tf, ref):
+    return OracleRef._make(ref)
+
+
 def pair(theta, theta_dot):
     """The plain (theta, theta_dot) state that run_scenario starts plant.step from."""
     return theta, theta_dot
@@ -153,7 +170,7 @@ def closed_loop(cs, ctrl, plant_state, plant, case, wrap_ref):
     for i, ref in enumerate(refs):
         meas = fields_of(state)[0] + noise[i]
         try:
-            u, cs = ctrl(cs, gains, case["tf"], meas, wrap_ref(ref), dt, case["sat"])
+            u, cs = ctrl(cs, gains, case["tf"], meas, wrap_ref(case["tf"], ref), dt, case["sat"])
         except ValueError:
             error = (i, "control")
             break
@@ -192,13 +209,12 @@ def loop_cases(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(case=loop_cases(), as_refsample=st.booleans())
-def test_control_step_and_step_equal_the_dataclass_oracle(case, as_refsample):
+@given(case=loop_cases())
+def test_control_step_and_step_equal_the_dataclass_oracle(case):
     oracle_start = OracleControllerState(theta_dot0=case["refs"][0][1])
     want = closed_loop(oracle_start, oracle_control_step, OraclePlantState, oracle_step,
-                       case, RefSample._make)
-    got = closed_loop(None, control_step, pair, step, case,
-                      RefSample._make if as_refsample else tuple)
+                       case, oracle_ref)
+    got = closed_loop(None, control_step, pair, step, case, law_ref)
     assert got == want
 
 
@@ -224,8 +240,8 @@ def test_successors_are_plain_tuples_and_rewrapping_them_changes_nothing(case):
         assert type(nxt) is tuple and len(nxt) == 2
         return nxt
 
-    plain = closed_loop(None, control_step, pair, step, case, tuple)
-    rewrapped = closed_loop(None, control_step_rewrapped, pair, step_rewrapped, case, tuple)
+    plain = closed_loop(None, control_step, pair, step, case, law_ref)
+    rewrapped = closed_loop(None, control_step_rewrapped, pair, step_rewrapped, case, law_ref)
     assert rewrapped == plain
 
 

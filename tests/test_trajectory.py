@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from shouldersim import DEFAULT_DT, JointLimits, QuinticRef, SineRef
 from shouldersim.trajectory import (
-    RefSample,
     clamp_to_limits,
     differentiate_teach,
     load_teach_csv,
@@ -30,43 +29,42 @@ def test_limit_validation():
 
 def test_quintic_constant_when_endpoints_equal():
     for t in np.linspace(-1.0, 6.0, 29):
-        s = quintic_eval(0.3, 0.3, 5.0, float(t))
-        assert (s.theta_d, s.theta_dot_d, s.theta_ddot_d) == (0.3, 0.0, 0.0)
+        assert quintic_eval(0.3, 0.3, 5.0, float(t)) == (0.3, 0.0, 0.0)
 
 
 def test_unit_quintic_coefficients():
     # theta_d(t) = 10 t^3 - 15 t^4 + 6 t^5 on [0, 1], and its derivatives
     pos = np.polynomial.Polynomial([0, 0, 0, 10, -15, 6])
     for t in np.linspace(0.0, 1.0, 41):
-        s = quintic_eval(0.0, 1.0, 1.0, float(t))
-        assert s.theta_d == pytest.approx(pos(t), abs=1e-12)
-        assert s.theta_dot_d == pytest.approx(pos.deriv(1)(t), abs=1e-12)
-        assert s.theta_ddot_d == pytest.approx(pos.deriv(2)(t), abs=1e-12)
+        theta_d, theta_dot_d, theta_ddot_d = quintic_eval(0.0, 1.0, 1.0, float(t))
+        assert theta_d == pytest.approx(pos(t), abs=1e-12)
+        assert theta_dot_d == pytest.approx(pos.deriv(1)(t), abs=1e-12)
+        assert theta_ddot_d == pytest.approx(pos.deriv(2)(t), abs=1e-12)
 
 
 def test_quintic_midpoint_symmetry():
-    mid = quintic_eval(0.1745, 0.6981, 10.0, 5.0)
-    assert abs(mid.theta_d - 0.4363) < 1e-12
+    theta_d, _, _ = quintic_eval(0.1745, 0.6981, 10.0, 5.0)
+    assert abs(theta_d - 0.4363) < 1e-12
 
 
 def test_quintic_eval_boundary_samples():
     start = quintic_eval(0.2, 0.9, 7.0, 0.0)
     end = quintic_eval(0.2, 0.9, 7.0, 7.0)
-    assert (start.theta_d, start.theta_dot_d, start.theta_ddot_d) == pytest.approx((0.2, 0.0, 0.0))
-    assert (end.theta_d, end.theta_dot_d, end.theta_ddot_d) == pytest.approx((0.9, 0.0, 0.0))
+    assert start == pytest.approx((0.2, 0.0, 0.0))
+    assert end == pytest.approx((0.9, 0.0, 0.0))
 
 
 def test_unit_quintic_at_midpoint():
-    mid = quintic_eval(0.0, 1.0, 1.0, 0.5)
-    assert abs(mid.theta_d - 0.5) < 1e-9
-    assert abs(mid.theta_dot_d - 1.875) < 1e-9
-    assert abs(mid.theta_ddot_d) < 1e-9
+    theta_d, theta_dot_d, theta_ddot_d = quintic_eval(0.0, 1.0, 1.0, 0.5)
+    assert abs(theta_d - 0.5) < 1e-9
+    assert abs(theta_dot_d - 1.875) < 1e-9
+    assert abs(theta_ddot_d) < 1e-9
 
 
 def test_quintic_eval_holds_beyond_duration():
-    held = quintic_eval(0.2, 0.9, 7.0, 12.0)
-    assert held.theta_d == pytest.approx(0.9)
-    assert held.theta_dot_d == pytest.approx(0.0)
+    theta_d, theta_dot_d, _ = quintic_eval(0.2, 0.9, 7.0, 12.0)
+    assert theta_d == pytest.approx(0.9)
+    assert theta_dot_d == pytest.approx(0.0)
 
 
 # T and A are checked where a reference is declared (QuinticRef, SineRef), not
@@ -85,12 +83,12 @@ def test_quintic_boundary_residuals_property():
         theta0 = float(rng.uniform(0.1745, 1.396))
         thetaf = float(rng.uniform(0.1745, 1.396))
         T = float(rng.uniform(1.0, 30.0))
-        start = quintic_eval(theta0, thetaf, T, 0.0)
-        end = quintic_eval(theta0, thetaf, T, T)
-        assert abs(start.theta_d - theta0) < 1e-9
-        assert abs(end.theta_d - thetaf) < 1e-9
-        assert abs(start.theta_dot_d) < 1e-9 and abs(end.theta_dot_d) < 1e-9
-        assert abs(start.theta_ddot_d) < 1e-9 and abs(end.theta_ddot_d) < 1e-9
+        start_d, start_dot_d, start_ddot_d = quintic_eval(theta0, thetaf, T, 0.0)
+        end_d, end_dot_d, end_ddot_d = quintic_eval(theta0, thetaf, T, T)
+        assert abs(start_d - theta0) < 1e-9
+        assert abs(end_d - thetaf) < 1e-9
+        assert abs(start_dot_d) < 1e-9 and abs(end_dot_d) < 1e-9
+        assert abs(start_ddot_d) < 1e-9 and abs(end_ddot_d) < 1e-9
 
 
 def test_quintic_derivative_consistency():
@@ -99,31 +97,31 @@ def test_quintic_derivative_consistency():
         ahead = quintic_eval(0.1745, 1.2, 8.0, t + h)
         behind = quintic_eval(0.1745, 1.2, 8.0, t - h)
         here = quintic_eval(0.1745, 1.2, 8.0, t)
-        assert abs((ahead.theta_d - behind.theta_d) / (2 * h) - here.theta_dot_d) < 1e-4
-        assert abs((ahead.theta_dot_d - behind.theta_dot_d) / (2 * h) - here.theta_ddot_d) < 1e-4
+        assert abs((ahead[0] - behind[0]) / (2 * h) - here[1]) < 1e-4
+        assert abs((ahead[1] - behind[1]) / (2 * h) - here[2]) < 1e-4
 
 
 def test_sine_zero_phase_starts_at_half_amplitude():
-    s = sine_ref(A=1.0, f=1.6e-3, k=0.0, t=0.0, dt=DEFAULT_DT)
-    assert s.theta_d == pytest.approx(0.5)
+    theta_d, _, _ = sine_ref(A=1.0, f=1.6e-3, k=0.0, t=0.0, dt=DEFAULT_DT)
+    assert theta_d == pytest.approx(0.5)
 
 
 def test_sine_case_a_initial_value_and_range():
     # tick-index time base: t counts controller ticks, wall time is t*dt
-    s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=0.0, dt=DEFAULT_DT)
-    assert abs(s.theta_d - 0.00012208004942526607) < 1e-15
+    theta_d, _, _ = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=0.0, dt=DEFAULT_DT)
+    assert abs(theta_d - 0.00012208004942526607) < 1e-15
     for tick in range(0, 5000, 37):
-        s = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=float(tick), dt=DEFAULT_DT)
-        assert 0.0 <= s.theta_d <= 1.0
+        theta_d, _, _ = sine_ref(A=1.0, f=1.6e-3, k=300.0, t=float(tick), dt=DEFAULT_DT)
+        assert 0.0 <= theta_d <= 1.0
 
 
 def test_sine_crest():
     # f*t + k = pi/2 (mod 2 pi) puts the reference at its crest
     A, f, k = 1.0, 1.6e-3, 300.0
     t_crest = (math.pi / 2.0 - k + 2.0 * math.pi * 48) / f
-    s = sine_ref(A, f, k, t_crest, DEFAULT_DT)
-    assert s.theta_d == pytest.approx(A)
-    assert s.theta_dot_d == pytest.approx(0.0, abs=1e-12)
+    theta_d, theta_dot_d, _ = sine_ref(A, f, k, t_crest, DEFAULT_DT)
+    assert theta_d == pytest.approx(A)
+    assert theta_dot_d == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sine_wall_clock_derivatives():
@@ -134,10 +132,10 @@ def test_sine_wall_clock_derivatives():
         ahead = sine_ref(A, f, k, tick + 1, dt)
         behind = sine_ref(A, f, k, tick - 1, dt)
         here = sine_ref(A, f, k, tick, dt)
-        fd = (ahead.theta_d - behind.theta_d) / (2 * dt)
-        assert abs(fd - here.theta_dot_d) < 1e-6
-        fd2 = (ahead.theta_dot_d - behind.theta_dot_d) / (2 * dt)
-        assert abs(fd2 - here.theta_ddot_d) < 1e-6
+        fd = (ahead[0] - behind[0]) / (2 * dt)
+        assert abs(fd - here[1]) < 1e-6
+        fd2 = (ahead[1] - behind[1]) / (2 * dt)
+        assert abs(fd2 - here[2]) < 1e-6
 
 
 def test_sine_rejects_non_positive_amplitude():
@@ -148,10 +146,10 @@ def test_sine_rejects_non_positive_amplitude():
 def test_record_teach_constant_demo():
     tt = record_teach([(0.0, 0.2, 0.0), (5.0, 0.2, 0.0)])
     assert float(tt[-1, 0]) - float(tt[0, 0]) == 5.0
-    refs = differentiate_teach(tt, dt=0.065, n=77)  # a demonstration at rest shows no hold: n is its grid
-    assert len(refs.theta_d) == 77
-    assert refs.theta_d == pytest.approx(0.2)
-    assert np.all(np.abs(refs.theta_ddot_d) < 1e-12)
+    theta_d, _, theta_ddot_d = differentiate_teach(tt, dt=0.065, n=77)  # a demonstration at rest shows no hold: n is its grid
+    assert len(theta_d) == 77
+    assert theta_d == pytest.approx(0.2)
+    assert np.all(np.abs(theta_ddot_d) < 1e-12)
 
 
 def test_differentiate_teach_rejects_demo_shorter_than_one_tick():
@@ -160,17 +158,16 @@ def test_differentiate_teach_rejects_demo_shorter_than_one_tick():
         differentiate_teach(tt, dt=0.065, n=10)
     # exactly one tick long gives the two grid samples, then the hold
     refs = differentiate_teach(record_teach([(0.0, 0.3, 0.0), (0.065, 0.31, 0.1)]), dt=0.065, n=4)
-    assert refs.theta_d.tolist() == [0.3, 0.31, 0.31, 0.31]
-    assert refs.theta_dot_d.tolist() == [0.0, 0.1, 0.0, 0.0]
-    assert refs.theta_ddot_d.tolist() == [0.1 / 0.065] * 2 + [0.0, 0.0]
+    assert [x.tolist() for x in refs] == [[0.3, 0.31, 0.31, 0.31], [0.0, 0.1, 0.0, 0.0], [0.1 / 0.065] * 2 + [0.0, 0.0]]
     assert_hold_from(refs, 2)
 
 
 def assert_hold_from(refs, k):
     """The demonstration's grid ends at tick k - 1, still moving, and the hold at rest begins at tick k."""
-    assert refs.theta_dot_d[k - 1] != 0.0
-    assert np.all(refs.theta_d[k:] == refs.theta_d[k - 1])
-    assert not np.any(refs.theta_dot_d[k:]) and not np.any(refs.theta_ddot_d[k:])
+    theta_d, theta_dot_d, theta_ddot_d = refs
+    assert theta_dot_d[k - 1] != 0.0
+    assert np.all(theta_d[k:] == theta_d[k - 1])
+    assert not np.any(theta_dot_d[k:]) and not np.any(theta_ddot_d[k:])
 
 
 def test_record_teach_rejects_bad_streams():
@@ -198,22 +195,23 @@ def test_differentiate_linear_velocity():
     ts = np.arange(0.0, 4.0 + 1e-9, 0.1)
     tt = record_teach([(t, 0.5 * t * t, t) for t in ts])
     refs = differentiate_teach(tt, dt=0.1, n=50)
-    assert len(refs.theta_ddot_d) == 50
+    theta_ddot_d = refs[2]
+    assert len(theta_ddot_d) == 50
     assert_hold_from(refs, 41)
-    assert np.all(np.abs(refs.theta_ddot_d[1:40] - 1.0) < 1e-9)
+    assert np.all(np.abs(theta_ddot_d[1:40] - 1.0) < 1e-9)
 
 
 def test_differentiate_sine_matches_analytic_acceleration():
     A, f, k, dt = 0.8, 1.6e-3, 300.0, 0.065
     demo = []
     for tick in range(120):
-        s = sine_ref(A, f, k, float(tick), dt)
-        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
+        theta_d, theta_dot_d, _ = sine_ref(A, f, k, float(tick), dt)
+        demo.append((tick * dt, theta_d, theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt, n=130)
     assert_hold_from(refs, 120)
-    for tick, acc in enumerate(refs.theta_ddot_d[1:119], start=1):
-        truth = sine_ref(A, f, k, float(tick), dt)
-        assert abs(acc - truth.theta_ddot_d) < 1e-8
+    for tick, acc in enumerate(refs[2][1:119], start=1):
+        _, _, truth = sine_ref(A, f, k, float(tick), dt)
+        assert abs(acc - truth) < 1e-8
 
 
 def test_teach_replay_round_trip():
@@ -221,13 +219,13 @@ def test_teach_replay_round_trip():
     A, f, k, dt = 1.0, 2.6e-3, 300.0, 0.065
     demo = []
     for tick in range(100):
-        s = sine_ref(A, f, k, float(tick), dt)
-        demo.append((tick * dt, s.theta_d, s.theta_dot_d))
+        theta_d, theta_dot_d, _ = sine_ref(A, f, k, float(tick), dt)
+        demo.append((tick * dt, theta_d, theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=dt, n=110)
     assert_hold_from(refs, 100)
-    for tick, theta in enumerate(refs.theta_d[:100]):
-        truth = sine_ref(A, f, k, float(tick), dt)
-        assert abs(theta - truth.theta_d) < 1e-3
+    for tick, theta in enumerate(refs[0][:100]):
+        truth, _, _ = sine_ref(A, f, k, float(tick), dt)
+        assert abs(theta - truth) < 1e-3
 
 
 def test_teach_round_trip_from_offgrid_samples():
@@ -235,13 +233,13 @@ def test_teach_round_trip_from_offgrid_samples():
     demo = []
     for i in range(501):
         t = i * 0.01
-        s = quintic_eval(0.5, 0.58, 5.0, t)
-        demo.append((t, s.theta_d, s.theta_dot_d))
+        theta_d, theta_dot_d, _ = quintic_eval(0.5, 0.58, 5.0, t)
+        demo.append((t, theta_d, theta_dot_d))
     refs = differentiate_teach(record_teach(demo), dt=0.065, n=80)
     assert_hold_from(refs, 77)
-    for i, theta in enumerate(refs.theta_d[:77]):
-        truth = quintic_eval(0.5, 0.58, 5.0, i * 0.065)
-        assert abs(theta - truth.theta_d) < 1e-3
+    for i, theta in enumerate(refs[0][:77]):
+        truth, _, _ = quintic_eval(0.5, 0.58, 5.0, i * 0.065)
+        assert abs(theta - truth) < 1e-3
 
 
 def test_smoothing_reduces_acceleration_noise():
@@ -249,34 +247,31 @@ def test_smoothing_reduces_acceleration_noise():
     demo = []
     for i in range(124):
         t = i * 0.065
-        s = quintic_eval(0.3, 0.9, 8.0, t)
-        demo.append((t, s.theta_d, s.theta_dot_d + rng.normal(0.0, 1e-3)))
+        theta_d, theta_dot_d, _ = quintic_eval(0.3, 0.9, 8.0, t)
+        demo.append((t, theta_d, theta_dot_d + rng.normal(0.0, 1e-3)))
     tt = record_teach(demo)
     raw = differentiate_teach(tt, dt=0.065, n=130, smooth=False)
     smoothed = differentiate_teach(tt, dt=0.065, n=130, smooth=True)
     assert_hold_from(raw, 124)
     assert_hold_from(smoothed, 124)
-    std_raw = np.std(raw.theta_ddot_d[2:122])
-    std_smooth = np.std(smoothed.theta_ddot_d[2:122])
+    std_raw = np.std(raw[2][2:122])
+    std_smooth = np.std(smoothed[2][2:122])
     assert std_smooth < std_raw
 
 
 def test_clamp_below_floor():
-    clamped = clamp_to_limits(RefSample(0.05, 0.4, 0.1), S1_LIMITS)
-    assert clamped.theta_d == 0.1745
-    assert clamped.theta_dot_d == 0.0
-    assert clamped.theta_ddot_d == 0.0
+    assert clamp_to_limits((0.05, 0.4, 0.1), S1_LIMITS) == (0.1745, 0.0, 0.0)
 
 
 def test_clamp_leaves_in_range_samples_alone():
-    ref = RefSample(0.5, 0.4, 0.1)
+    ref = (0.5, 0.4, 0.1)
     assert clamp_to_limits(ref, S1_LIMITS) == ref
 
 
 def test_clamp_idempotence_property():
     rng = np.random.default_rng(41)
     for _ in range(200):
-        ref = RefSample(
+        ref = (
             float(rng.uniform(-1.0, 2.5)),
             float(rng.uniform(-1.0, 1.0)),
             float(rng.uniform(-1.0, 1.0)),
@@ -291,9 +286,9 @@ def test_full_swing_sine_flattens_in_valleys():
     # flat valley segments seen in the tracked trajectories
     flat = 0
     for tick in range(4000):
-        s = clamp_to_limits(sine_ref(1.0, 1.6e-3, 300.0, float(tick), DEFAULT_DT), S1_LIMITS)
-        assert s.theta_d >= 0.1745
-        if s.theta_d == 0.1745:
+        theta_d, _, _ = clamp_to_limits(sine_ref(1.0, 1.6e-3, 300.0, float(tick), DEFAULT_DT), S1_LIMITS)
+        assert theta_d >= 0.1745
+        if theta_d == 0.1745:
             flat += 1
     assert flat > 500
 
@@ -324,7 +319,7 @@ def test_teach_csv_round_trip(tmp_path):
 
 
 def _same_bits(array_ref, scalar_refs):
-    """True when a RefSample of arrays holds exactly the per-tick scalar samples."""
+    """True when a reference of arrays holds exactly the per-tick scalar samples."""
     per_tick = np.array([tuple(r) for r in scalar_refs], dtype=float).T
     return np.stack(array_ref).tobytes() == per_tick.tobytes()
 
@@ -352,8 +347,8 @@ def test_array_references_equal_scalar_calls_bit_for_bit(theta0, thetaf, T, time
     assert _same_bits(s, [sine_ref(A, f, k, tick, 0.065) for tick in ticks])
     n = len(theta_d)
     rates = np.linspace(-1.0, 1.0, n)
-    ref = RefSample(np.array(theta_d), rates, 2.0 * rates)
-    scalars = [RefSample(*r) for r in zip(theta_d, rates.tolist(), (2.0 * rates).tolist())]
+    ref = (np.array(theta_d), rates, 2.0 * rates)
+    scalars = list(zip(theta_d, rates.tolist(), (2.0 * rates).tolist()))
     assert _same_bits(clamp_to_limits(ref, S1_LIMITS), [clamp_to_limits(r, S1_LIMITS) for r in scalars])
 
 
@@ -377,7 +372,7 @@ def _whole_grid_then_hold(demo, dt, n, smooth):
     acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
     pad = (0, max(n - m, 0))
     rates = (np.pad(x[:n], pad) for x in (theta_dot, acc))
-    return RefSample(np.pad(theta[:n], pad, mode="edge"), *rates)
+    return (np.pad(theta[:n], pad, mode="edge"), *rates)
 
 
 @settings(deadline=None, max_examples=300)
@@ -407,7 +402,7 @@ def test_differentiate_teach_resamples_no_more_than_the_run():
     demo = record_teach([(0.0, 0.3, 0.0), (1e15, 0.4, 0.0)])
     refs = differentiate_teach(demo, 0.065, 155)
     assert [len(x) for x in refs] == [155, 155, 155]
-    assert refs.theta_d[0] == 0.3 and np.all(refs.theta_d <= 0.4)
+    assert refs[0][0] == 0.3 and np.all(refs[0] <= 0.4)
 
 
 @pytest.mark.parametrize("T", [1e-300, 1e-162, 5e-324])
@@ -427,4 +422,4 @@ def test_quintic_rejects_a_duration_whose_acceleration_scale_overflows(T):
 def test_quintic_evaluates_the_shortest_duration_whose_scales_are_finite():
     ref = quintic_eval(0.1745, 0.3745, 3e-154, np.arange(3) * 0.065)
     assert all(np.all(np.isfinite(x)) for x in ref)
-    assert ref.theta_d.tolist() == [0.1745, 0.3745, 0.3745]
+    assert ref[0].tolist() == [0.1745, 0.3745, 0.3745]
