@@ -72,20 +72,19 @@ def _cmd_ik(args) -> int:
 
 def _cmd_sysid(args) -> int:
     record = sysid.load_io_csv(args.csv, ts=args.ts)
-    try:
-        tf, fit = sysid.estimate_tf(record)
-    except ValueError as full_rate_error:
-        # output noise on a record sampled far above the plant's bandwidth can
-        # drive the full-rate fit to a negative gamma; block averaging lowers it
-        for m in (2, 5, 10):
-            try:
-                tf, fit = sysid.estimate_tf(sysid.decimate_record(record, m))
-            except ValueError:
-                continue
-            print(f"decimated by {m}")
+    first_error = None
+    # output noise on a record sampled far above the plant's bandwidth can drive
+    # the full-rate (m = 1) fit to a negative gamma; block averaging lowers it
+    for m in (1, 2, 5, 10):
+        try:
+            tf, fit = sysid.estimate_tf(sysid.decimate_record(record, m))
             break
-        else:
-            raise full_rate_error
+        except ValueError as ex:
+            first_error = first_error or ex
+    else:
+        raise first_error
+    if m > 1:
+        print(f"decimated by {m}")
     print(f"gamma0 = {tf.gamma0!r}")
     print(f"gamma1 = {tf.gamma1!r}")
     print(f"gamma2 = {tf.gamma2!r}")

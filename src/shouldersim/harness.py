@@ -19,6 +19,7 @@ law and advances the plant by one RK4 step with the applied, saturated command.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -28,7 +29,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Union, get_args
+from typing import Dict, List, Mapping, Optional, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -60,8 +61,10 @@ _JOINT_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _checked_names(joints: Mapping) -> Mapping:
-    """joints itself, once each of its keys is found to be a safe joint name; else ValueError."""
+    """joints itself, once each of its keys is found to be a safe joint name; else TypeError or ValueError."""
     for joint in joints:
+        if not isinstance(joint, str):
+            raise TypeError(f"joint name {joint!r} must be a str matching {_JOINT_NAME.pattern}, got {type(joint).__name__}")
         if not _JOINT_NAME.fullmatch(joint):
             raise ValueError(f"joint name {joint!r} must match {_JOINT_NAME.pattern}")
     return joints
@@ -122,11 +125,12 @@ class TeachRef:
 
 
 ReferenceSpec = Union[QuinticRef, SineRef, TeachRef]
-_JOINT_FIELD_TYPES = {
-    "plant": (SecondOrderTf,), "design": (GpiDesign,), "limits": (JointLimits,),
-    "saturation": (SaturationLimits,), "reference": get_args(ReferenceSpec),
-    "disturbance": (DisturbanceSpec, type(None)),
-}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> type of dataclass cls, evaluated from its annotations once."""
+    return get_type_hints(cls)
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,8 @@ class JointConfig:
     disturbance: Optional[DisturbanceSpec] = None
 
     def __post_init__(self):
-        for name, accepted in _JOINT_FIELD_TYPES.items():
+        for name, hint in _field_types(JointConfig).items():
+            accepted = get_args(hint) or (hint,)
             value = getattr(self, name)
             if not isinstance(value, accepted):
                 names = " or ".join("None" if t is type(None) else t.__name__ for t in accepted)
@@ -415,8 +420,9 @@ def _from_dict(cls, d: dict, base_dir):
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
+            t = _field_types(cls)[f.name]
             try:
-                kwargs[f.name] = _DECODERS[f.type](d[f.name], base_dir)
+                kwargs[f.name] = _from_dict(t, d[f.name], base_dir) if is_dataclass(t) else _DECODERS[t](d[f.name], base_dir)
             except TypeError as ex:
                 raise ValueError(f"{cls.__name__}.{f.name}: {ex}") from None
         elif f.default is MISSING:
@@ -461,21 +467,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Field annotation (a string: the dataclass modules postpone annotations) ->
-# decoder of the field's JSON value. JSON ints become floats; an integral
-# float (1.0) is accepted as an int.
+# Field type -> decoder of the field's JSON value, for the fields that are not
+# typed by a dataclass (_from_dict decodes those). JSON ints become floats; an
+# integral float (1.0) is accepted as an int.
 _DECODERS = {
-    "float": _scalar(float, _is_number, "a number"),
-    "int": _scalar(int, lambda v: _is_number(v) and v % 1 == 0, "an integer"),
-    "bool": _scalar(bool, lambda v: isinstance(v, bool), "true or false"),
-    "str": _scalar(str, lambda v: isinstance(v, str), "a string"),
-    "SecondOrderTf": lambda v, b: _from_dict(SecondOrderTf, v, b),
-    "GpiDesign": lambda v, b: _from_dict(GpiDesign, v, b),
-    "JointLimits": lambda v, b: _from_dict(JointLimits, v, b),
-    "SaturationLimits": lambda v, b: _from_dict(SaturationLimits, v, b),
-    "ReferenceSpec": _reference_from_dict,
-    "Optional[DisturbanceSpec]": lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
-    "Mapping[str, JointConfig]": lambda v, b: {k: _joint_from_dict(k, c, b) for k, c in _expect_object(v).items()},
+    float: _scalar(float, _is_number, "a number"),
+    int: _scalar(int, lambda v: _is_number(v) and v % 1 == 0, "an integer"),
+    bool: _scalar(bool, lambda v: isinstance(v, bool), "true or false"),
+    str: _scalar(str, lambda v: isinstance(v, str), "a string"),
+    ReferenceSpec: _reference_from_dict,
+    Optional[DisturbanceSpec]: lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
+    Mapping[str, JointConfig]: lambda v, b: {k: _joint_from_dict(k, c, b) for k, c in _expect_object(v).items()},
 }
 
 

@@ -28,15 +28,15 @@ _BIAS_ITERATIONS = 50
 
 @dataclass(frozen=True)
 class IoRecord:
-    """A sampled input/output record: u in PWM-%, theta in rad, period ts seconds."""
+    """A sampled input/output record: u in PWM-% and theta in rad as C-contiguous float copies, period ts seconds."""
 
     u: np.ndarray
     theta: np.ndarray
     ts: float = DEFAULT_DT
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
+        u = np.array(self.u, dtype=float)  # a copy: numpy's solvers round differently on strided views
+        theta = np.array(self.theta, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "theta", theta)
         if u.ndim != 1 or theta.ndim != 1 or len(u) != len(theta):

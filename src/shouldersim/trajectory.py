@@ -122,10 +122,7 @@ def differentiate_teach(demo: np.ndarray, dt: float, n: int, smooth: bool = Fals
         kernel = np.ones(5) / 5.0
         padded = np.concatenate([theta_dot[2:0:-1], theta_dot, theta_dot[-2:-4:-1]])
         theta_dot = np.convolve(padded, kernel, mode="valid")
-    acc = np.empty(m)
-    acc[1:-1] = (theta_dot[2:] - theta_dot[:-2]) / (2.0 * dt)
-    acc[0] = (theta_dot[1] - theta_dot[0]) / dt
-    acc[-1] = (theta_dot[-1] - theta_dot[-2]) / dt
+    acc = np.gradient(theta_dot, dt)
     hold = (0, max(n - m, 0))
     return np.pad(theta[:n], hold, mode="edge"), np.pad(theta_dot[:n], hold), np.pad(acc[:n], hold)
 

@@ -399,3 +399,39 @@ def test_a_constant_reference_is_held_with_u_equal_to_u_d(case):
     u_tol = 64 * eps * abs(u_d) + compute_gains(design, plant)[2] / plant.gamma0 * e_tol
     assert np.max(np.abs(series.e)) <= e_tol
     assert np.max(np.abs(series.u - u_d)) <= u_tol
+
+
+@st.composite
+def model_references(draw):
+    """A preset joint, a start angle and 20-200 admissible inputs whose plant response is the reference."""
+    joint = draw(st.sampled_from(sorted(PRESET_JOINTS)))
+    theta0 = draw(st.floats(0.2, 0.5))
+    inputs = draw(st.lists(st.floats(20.0, 80.0), min_size=20, max_size=200))
+    return joint, theta0, inputs
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: k3 acts on ∫u, not ∫(u − u_d)")
+@settings(max_examples=20, deadline=None)
+@given(case=model_references())
+@example(case=("abad", 0.3, [50.0] * 20))
+@example(case=("fe", 0.4, [20.0, 80.0] * 10))
+def test_a_reference_generated_by_the_plant_is_tracked_exactly(case):
+    joint, theta0, inputs = case
+    plant, design, _ = PRESET_JOINTS[joint]
+    gains = compute_gains(design, plant)
+    sat = SaturationLimits(u_min=-1e6, u_max=1e6)  # never reached
+    dt = presets.DEFAULT_DT
+    # the reference is the plant's own response from rest at theta0, and u_d the input that made it
+    ref = [(theta0, 0.0)]
+    for u_d in inputs[:-1]:
+        ref.append(step(ref[-1], plant, u_d, 0.0, dt))
+    # Design: the gains are placed for the compensator of u - u_d. While e = 0
+    # and u = u_d its integrals stay 0, so it returns u_d again and the plant
+    # repeats the reference's own plant.step call: no tolerance is needed.
+    state, cs = (theta0, 0.0), None
+    for i, ((theta_d, theta_dot_d), u_d) in enumerate(zip(ref, inputs)):
+        e = state[0] - theta_d
+        u, cs = control_step(cs, gains, plant, state[0], (theta_d, theta_dot_d, u_d), dt, sat)
+        assert e == 0.0, f"tick {i}: e = {e!r}"
+        assert u == u_d, f"tick {i}: u = {u!r}, u_d = {u_d!r}"
+        state = step(state, plant, u, 0.0, dt)

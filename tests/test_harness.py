@@ -661,6 +661,25 @@ def test_export_rejects_a_joint_name_that_a_scenario_rejects(tmp_path, joint, ex
     assert list(tmp_path.rglob("*")) == []
 
 
+@pytest.mark.parametrize("caller", ["Scenario", "export_csv", "export_plot"])
+@pytest.mark.parametrize("joint", [1, b"abad"], ids=["int", "bytes"])
+def test_a_joint_name_that_is_not_a_str_is_named_in_a_type_error(tmp_path, joint, caller):
+    # the name check reports the key and its type itself, not re's "expected
+    # string or bytes-like object", and before any file is written
+    js = JointSeries(*np.zeros((5, 3)))
+    result = SimResult(series={"abad": js, joint: js}, metrics={})
+    out = tmp_path / "out"
+    calls = {
+        "Scenario": lambda: Scenario(joints={"abad": ABAD_JOINT, joint: ABAD_JOINT}),
+        "export_csv": lambda: export_csv(result, out),
+        "export_plot": lambda: export_plot(result, out / "plot.svg"),
+    }
+    message = f"joint name {joint!r} must be a str matching [A-Za-z0-9_-]+, got {type(joint).__name__}"
+    with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
+        calls[caller]()
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_concurrent_exports_to_one_path_publish_whole_files(tmp_path):
     """Writers that export to the same path at once each succeed, and the file
     is always one writer's whole text; no temp file is left behind.
