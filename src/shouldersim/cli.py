@@ -6,7 +6,7 @@ Subcommands:
     fk     forward kinematics of the wrist
     ik     inverse kinematics from a wrist position
     sysid  identify a second-order plant from a t,u,theta CSV record
-    teach  inspect a demonstration CSV, optionally replay it closed-loop
+    teach  inspect a demonstration CSV; with --out, replay it closed-loop
 
 Every subcommand exits 0 on success and nonzero with a one-line diagnostic
 on stderr for any error.
@@ -71,23 +71,23 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_sysid(args) -> int:
-    record = sysid.load_io_csv(args.csv, ts=args.ts)
+    record = sysid.load_io_csv(args.csv)
+    factors = (1, 2, 5, 10)
     first_error = None
     # output noise on a record sampled far above the plant's bandwidth can drive
     # the full-rate (m = 1) fit to a negative gamma; block averaging lowers it
-    for m in (1, 2, 5, 10):
+    for m in factors:
         try:
             tf, fit = sysid.estimate_tf(sysid.decimate_record(record, m))
             break
         except ValueError as ex:
             first_error = first_error or ex
     else:
-        raise first_error
+        raise ValueError(f"no block average of m = {', '.join(map(str, factors))} samples gave a valid plant; at full rate: {first_error}")
     if m > 1:
         print(f"decimated by {m}")
-    print(f"gamma0 = {tf.gamma0!r}")
-    print(f"gamma1 = {tf.gamma1!r}")
-    print(f"gamma2 = {tf.gamma2!r}")
+    for name in ("gamma0", "gamma1", "gamma2"):
+        print(f"{name} = {getattr(tf, name)!r}")
     print(f"fit = {fit:.2f} %")
     return 0
 
@@ -100,10 +100,8 @@ def _cmd_teach(args) -> int:
         f"demonstration: {len(thetas)} samples over {duration:.3f} s, "
         f"angle range [{thetas.min():.4f}, {thetas.max():.4f}] rad"
     )
-    if not args.repeat:
-        return 0
     if args.out is None:
-        raise ValueError("--repeat requires --out")
+        return 0
     # the bundled teach_repeat scenario with this demonstration: the abad presets at DEFAULT_DT
     abad = harness.JointConfig(
         presets.ABAD_PLANT, presets.ABAD_DESIGN, presets.ABAD_LIMITS, presets.DEFAULT_SATURATION, ref
@@ -153,14 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sysid = sub.add_parser("sysid", help="identify a plant from a t,u,theta CSV")
     p_sysid.add_argument("--csv", required=True, help="record file")
-    p_sysid.add_argument("--ts", type=float, default=DEFAULT_DT, help="sampling period (s)")
     p_sysid.set_defaults(func=_cmd_sysid)
 
     p_teach = sub.add_parser("teach", help="inspect or replay a demonstration CSV")
     p_teach.add_argument("--record", required=True, help="t,theta,theta_dot demonstration file")
-    p_teach.add_argument("--repeat", action="store_true", help="replay closed-loop on the abad joint")
     p_teach.add_argument("--smooth", action="store_true", help="5-tap velocity smoothing before differencing")
-    p_teach.add_argument("--out", help="output directory for --repeat")
+    p_teach.add_argument("--out", help="replay closed-loop on the abad joint and write CSV/SVG/metrics here")
     p_teach.set_defaults(func=_cmd_teach)
 
     return parser

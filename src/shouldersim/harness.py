@@ -113,6 +113,8 @@ class TeachRef:
     smooth: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.smooth, bool):
+            raise TypeError(f"TeachRef.smooth must be a bool, got {type(self.smooth).__name__}")
         if not Path(self.file).exists():
             raise ValueError(f"teach file not found: {self.file}")
         object.__setattr__(self, "file", os.path.abspath(self.file))
@@ -178,6 +180,9 @@ class Scenario:
             raise ValueError(f"noise amplitude must be in [0, {_MAX_NOISE!r}], got {self.noise_amplitude!r}")
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is not JSON serializable
+        if not isinstance(self.name, str):
+            raise TypeError(f"Scenario.name must be a str, got {type(self.name).__name__}")
 
     def __reduce__(self):  # a mappingproxy does not pickle: pickle and deepcopy rebuild from a dict
         return type(self), (dict(self.joints), self.dt, self.duration, self.noise_amplitude, self.seed, self.name)

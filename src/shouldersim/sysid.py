@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,8 +168,6 @@ def decimate_record(rec: IoRecord, m: int) -> IoRecord:
     if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 1):
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     n = (len(rec) // m) * m
-    if n < 10 * m:
-        raise ValueError(f"record too short to decimate by {m}")
     u = rec.u[:n].reshape(-1, m).mean(axis=1)
     theta = rec.theta[:n].reshape(-1, m).mean(axis=1)
     return IoRecord(u=u, theta=theta, ts=rec.ts * m)
@@ -191,17 +189,19 @@ def multisine_profile(n: int, seed: int = 0) -> np.ndarray:
     return np.clip(u, 0.0, 100.0)
 
 
-def load_io_csv(path, ts: float = DEFAULT_DT) -> IoRecord:
-    """Read a t,u,theta CSV into an IoRecord sampled at ts.
+def load_io_csv(path) -> IoRecord:
+    """Read a t,u,theta CSV into an IoRecord sampled at its first t step, ts = t[1] - t[0].
 
-    Every step of the t column must equal ts to within 1e-6 * ts.
+    ts must be finite and > 0, and every later step must equal it to within 1e-6 * ts.
     """
     lines, data = read_csv_rows(path, ("t", "u", "theta"), "record")
-    rec = IoRecord(u=data[:, 1], theta=data[:, 2], ts=ts)
-    with np.errstate(invalid="ignore"):
+    rec = IoRecord(u=data[:, 1], theta=data[:, 2])  # its length and samples are checked before the t column
+    with np.errstate(invalid="ignore"):  # inf - inf is a nan step, rejected below
         steps = np.diff(data[:, 0])
-        bad = np.flatnonzero(~(np.abs(steps - ts) <= 1e-6 * ts))
+    ts = float(steps[0])
+    if not (math.isfinite(ts) and ts > 0.0):
+        raise ValueError(f"{path}: line {lines[1]}: first t step {ts!r} s must be finite and > 0")
+    bad = np.flatnonzero(~(np.abs(steps - ts) <= 1e-6 * ts))
     if len(bad):
-        line, step = lines[bad[0] + 1], float(steps[bad[0]])
-        raise ValueError(f"{path}: line {line}: t step {step!r} s differs from ts = {ts!r} s")
-    return rec
+        raise ValueError(f"{path}: line {lines[bad[0] + 1]}: t step {float(steps[bad[0]])!r} s differs from the first step, ts = {ts!r} s")
+    return replace(rec, ts=ts)

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,10 +15,11 @@ import pytest
 
 import shouldersim
 from shouldersim import IoRecord, load_series_csv, multisine_profile, presets, simulate_record, trajectory
-from shouldersim.cli import main
+from shouldersim.cli import build_parser, main
 from shouldersim.kinematics import forward
 
 SCENARIOS = presets.scenario_dir()
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def printed_value(out: str, key: str) -> float:
@@ -224,7 +228,7 @@ def test_sysid_recovers_plant(tmp_path, capsys):
         lines.append(f"{k * 0.065!r},{float(u[k])!r},{float(theta[k])!r}")
     path.write_text("\n".join(lines) + "\n")
 
-    rc = main(["sysid", "--csv", str(path), "--ts", "0.065"])
+    rc = main(["sysid", "--csv", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert printed_value(out, "gamma0") == pytest.approx(truth.gamma0, rel=0.01)
@@ -260,11 +264,29 @@ def test_teach_summary(capsys):
     assert "demonstration: 501 samples over 5.000 s" in out
 
 
-def test_teach_repeat_requires_out(capsys):
-    rc = main(["teach", "--record", str(SCENARIOS / "taught_demo.csv"), "--repeat"])
+def test_teach_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["teach", "--record", str(SCENARIOS / "taught_demo.csv"), "--smooth"])
     captured = capsys.readouterr()
-    assert rc == 1
-    assert "--repeat requires --out" in captured.err
+    assert rc == 0 and captured.err == ""
+    assert captured.out == "demonstration: 501 samples over 5.000 s, angle range [0.5000, 0.5800] rad\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (["sysid", "--csv", "record.csv", "--ts", "0.065"], "--ts 0.065"),
+        (["teach", "--record", "demo.csv", "--repeat", "--out", "o"], "--repeat"),
+    ],
+    ids=["sysid-ts", "teach-repeat"],
+)
+def test_the_removed_period_and_replay_options_are_usage_errors(capsys, argv, unrecognized):
+    # the period is the record's first t step, and --out alone asks for the replay
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {unrecognized}\n")
 
 
 def test_teach_repeat_writes_artifacts(tmp_path, capsys):
@@ -272,7 +294,6 @@ def test_teach_repeat_writes_artifacts(tmp_path, capsys):
         [
             "teach",
             "--record", str(SCENARIOS / "taught_demo.csv"),
-            "--repeat",
             "--out", str(tmp_path),
         ]
     )
@@ -290,7 +311,7 @@ def test_teach_repeat_reads_the_demonstration_once(tmp_path, capsys):
     shutil.copy(SCENARIOS / "taught_demo.csv", mine)
     reader = mock.patch.object(trajectory, "read_csv_rows", wraps=trajectory.read_csv_rows)
     with reader as read:
-        rc = main(["teach", "--record", str(mine), "--repeat", "--out", str(tmp_path / "out")])
+        rc = main(["teach", "--record", str(mine), "--out", str(tmp_path / "out")])
     assert rc == 0, capsys.readouterr().err
     reads = Counter(Path(call.args[0]).resolve() for call in read.call_args_list)
     # the user's file once; the bundled demo not at all
@@ -333,37 +354,58 @@ def test_sysid_rejects_non_numeric_value(tmp_path, capsys):
     assert f"error: {path}: line 3: could not convert string to float: 'x1'" in err
 
 
+def write_record(path, times, u, theta):
+    rows = "".join(f"{t!r},{float(u_k)!r},{float(theta_k)!r}\n" for t, u_k, theta_k in zip(times, u, theta))
+    path.write_text("t,u,theta\n" + rows)
+
+
 def test_sysid_rejects_record_sampled_at_another_period(tmp_path, capsys):
-    # a record sampled at 0.13 s identified as 0.065 s would give gamma0 4x too large
+    # the first t step is the period: a record sampled at 0.13 s identifies at
+    # 0.13 s, and one whose step changes partway is rejected at that line
     n = 2000
     u = multisine_profile(n, seed=3)
     theta = simulate_record(presets.ABAD_PLANT, IoRecord(u=u, theta=np.zeros(n), ts=0.13))
     path = tmp_path / "record.csv"
-    lines = ["t,u,theta"] + [f"{k * 0.13!r},{float(u[k])!r},{float(theta[k])!r}" for k in range(n)]
-    path.write_text("\n".join(lines) + "\n")
-    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
-    assert f"{path}: line 3: t step 0.13 s differs from ts = 0.065 s" in err
-    rc = main(["sysid", "--csv", str(path), "--ts", "0.13"])
+    times = [k * 0.13 for k in range(n)]
+    write_record(path, times, u, theta)
+    rc = main(["sysid", "--csv", str(path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert printed_value(out, "gamma0") == pytest.approx(presets.ABAD_PLANT.gamma0, rel=0.01)
+    times = [k * 0.065 for k in range(1000)] + [999 * 0.065 + k * 0.13 for k in range(1, n - 999)]
+    write_record(path, times, u, theta)
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    step = times[1000] - times[999]
+    assert err == f"error: {path}: line 1002: t step {step!r} s differs from the first step, ts = 0.065 s\n"
 
 
 def test_sysid_rejects_a_period_whose_square_underflows(tmp_path, capsys):
+    # every block average is as short a period: 2e-170 to 1e-169 s square to 0 too
     ts = 1e-170
     u = multisine_profile(200, seed=3)
     theta = simulate_record(presets.ABAD_PLANT, IoRecord(u=u, theta=np.zeros(200), ts=0.065))
     path = tmp_path / "record.csv"
-    lines = ["t,u,theta"] + [f"{k * ts!r},{float(u[k])!r},{float(theta[k])!r}" for k in range(200)]
-    path.write_text("\n".join(lines) + "\n")
-    err = one_line_error(capsys, ["sysid", "--csv", str(path), "--ts", repr(ts)]).err
-    assert err == "error: ts = 1e-170 is too small: ts * ts / 4 * (1 - a1 + a2) underflows to 0\n"
+    write_record(path, [k * ts for k in range(200)], u, theta)
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    assert err == (
+        "error: no block average of m = 1, 2, 5, 10 samples gave a valid plant; at full rate: "
+        "ts = 1e-170 is too small: ts * ts / 4 * (1 - a1 + a2) underflows to 0\n"
+    )
+
+
+def test_sysid_names_the_block_averages_it_tried_on_a_constant_record(tmp_path, capsys):
+    path = tmp_path / "record.csv"
+    write_record(path, [k * 0.065 for k in range(200)], np.full(200, 50.0), np.full(200, 0.3))
+    err = one_line_error(capsys, ["sysid", "--csv", str(path)]).err
+    assert err == (
+        "error: no block average of m = 1, 2, 5, 10 samples gave a valid plant; at full rate: insufficient excitation\n"
+    )
 
 
 def test_teach_repeat_rejects_demo_shorter_than_one_tick(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("t,theta,theta_dot\n0.0,0.3,0.0\n0.01,0.31,0.1\n")
-    err = one_line_error(capsys, ["teach", "--record", str(path), "--repeat", "--out", str(tmp_path / "o")]).err
+    err = one_line_error(capsys, ["teach", "--record", str(path), "--out", str(tmp_path / "o")]).err
     assert "demonstration lasts 0.01 s, shorter than one tick of 0.065 s" in err
     assert not (tmp_path / "o").exists()
 
@@ -656,10 +698,32 @@ def test_teach_rejects_non_finite_samples(tmp_path, capsys, bad, repeat):
     path.write_text(f"t,theta,theta_dot\n0.0,0.5,0.0\n0.1,{bad},0.0\n0.2,0.7,0.0\n")
     argv = ["teach", "--record", str(path)]
     if repeat:
-        argv += ["--repeat", "--out", str(tmp_path / "out")]
+        argv += ["--out", str(tmp_path / "out")]
     captured = one_line_error(capsys, argv)
     assert "teach sample 1 must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_the_readme_names_the_parsers_commands_and_options():
+    text = README.read_text()
+    parser = build_parser()
+    usage = re.search(r"^## Quick start \(CLI\)\n+```\n(.*?)^```", text, re.M | re.S).group(1)
+    commands = [line for line in usage.splitlines() if line.startswith("shouldersim ")]
+    assert commands
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the README's usage line does not parse: {line}")
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        option
+        for sub in subcommands.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert sorted(option for option in options if not re.search(rf"{option}\b", text)) == []
 
 
 def test_no_arguments_is_a_usage_error():

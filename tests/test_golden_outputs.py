@@ -54,7 +54,7 @@ def test_bundled_outputs_match_golden(golden, name, tmp_path, capsys):
 
 def test_teach_repeat_of_the_bundled_demo_writes_the_teach_repeat_scenario_outputs(golden, tmp_path, capsys):
     demo = presets.scenario_dir() / "taught_demo.csv"
-    rc = main(["teach", "--record", str(demo), "--repeat", "--out", str(tmp_path)])
+    rc = main(["teach", "--record", str(demo), "--out", str(tmp_path)])
     assert rc == 0
     assert file_digests(tmp_path) == golden["teach_repeat"]
 

@@ -132,6 +132,23 @@ def test_scenario_rejects_a_joint_that_is_not_a_joint_config():
         Scenario(joints={"abad": ABAD_JOINT, "fe": dataclasses.asdict(ABAD_JOINT)})
 
 
+def test_scenario_and_teach_ref_reject_what_load_scenario_would_reject(tmp_path):
+    # save_scenario would write them, and load_scenario refuse the file
+    with pytest.raises(TypeError, match=r"^Scenario.name must be a str, got int$"):
+        Scenario(joints={"abad": ABAD_JOINT}, name=5)
+    demo = str(_write_demo(tmp_path / "demo.csv", scale=1.0))
+    with pytest.raises(TypeError, match=r"^TeachRef.smooth must be a bool, got int$"):
+        TeachRef(file=demo, smooth=1)
+
+
+def test_a_numpy_integer_seed_is_saved_loaded_and_run_as_an_int(tmp_path):
+    s = dataclasses.replace(load_scenario(bundled("reach_q1")), noise_amplitude=1e-3, seed=np.int64(3))
+    assert type(s.seed) is int
+    back = load_scenario(save_scenario(s, tmp_path / "s.json"))
+    assert back == s
+    assert _same_run(run_scenario(back), run_scenario(dataclasses.replace(s, seed=3)))
+
+
 def old_quintic_eval_guard(theta0, thetaf, T):
     """Whether quintic_eval raised for T before it left the check of T to QuinticRef."""
     d = thetaf - theta0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,7 +247,7 @@ def test_a_csv_record_is_fitted_as_the_same_numbers_in_memory(tmp_path):
     rec = make_record(G1, 2000, 3)
     path = tmp_path / "record.csv"
     write_io_csv(path, rec, [k * TS for k in range(len(rec))])
-    back = load_io_csv(path, ts=TS)
+    back = load_io_csv(path)
     assert np.array_equal(back.u, rec.u) and np.array_equal(back.theta, rec.theta)
     (tf_csv, fit_csv), (tf_mem, fit_mem) = estimate_tf(back), estimate_tf(rec)
     assert (tf_csv.gamma0, tf_csv.gamma1, tf_csv.gamma2) == (tf_mem.gamma0, tf_mem.gamma1, tf_mem.gamma2)
@@ -269,7 +271,7 @@ def test_decimation_block_averages():
     assert dec.ts == pytest.approx(0.65)
     assert dec.u[0] == pytest.approx(np.mean(u[:10]))
     assert dec.theta[3] == pytest.approx(np.mean(theta[30:40]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^record too short: 5 samples, need >= 10$"):
         decimate_record(IoRecord(u=np.ones(50), theta=np.ones(50), ts=TS), 10)
 
 
@@ -301,7 +303,8 @@ def test_io_csv_round_trip(tmp_path):
     for i in range(len(rec)):
         lines.append(f"{i * rec.ts!r},{float(rec.u[i])!r},{float(rec.theta[i])!r}")
     path.write_text("\n".join(lines) + "\n")
-    back = load_io_csv(path, ts=TS)
+    back = load_io_csv(path)
+    assert back.ts == TS
     assert np.array_equal(back.u, rec.u)
     assert np.array_equal(back.theta, rec.theta)
 
@@ -319,7 +322,7 @@ def test_io_csv_accepts_timestamps_k_times_ts(tmp_path, ts):
     rec = make_record(G1, 7000, seed=7, ts=ts)
     path = tmp_path / "run.csv"
     write_io_csv(path, rec, [k * ts for k in range(len(rec))])
-    back = load_io_csv(path, ts=ts)
+    back = load_io_csv(path)
     assert back.ts == ts
     assert np.array_equal(back.u, rec.u) and np.array_equal(back.theta, rec.theta)
 
@@ -327,15 +330,30 @@ def test_io_csv_accepts_timestamps_k_times_ts(tmp_path, ts):
 def test_io_csv_rejects_timestamps_off_ts(tmp_path):
     rec = make_record(G1, 50, seed=6)
     path = tmp_path / "run.csv"
-    write_io_csv(path, rec, [k * 2 * TS for k in range(len(rec))])
-    with pytest.raises(ValueError, match=r"line 3: t step 0\.13 s differs from ts = 0\.065 s"):
-        load_io_csv(path, ts=TS)
-    # the tolerance is 1e-6 * ts per step
+    # the tolerance is 1e-6 * ts per step, and ts is the first step
     times = [k * TS for k in range(len(rec))]
     times[20] += 0.5e-6 * TS
     write_io_csv(path, rec, times)
-    load_io_csv(path, ts=TS)
+    assert load_io_csv(path).ts == TS
     times[20] += 2e-6 * TS
     write_io_csv(path, rec, times)
-    with pytest.raises(ValueError, match="line 22: t step"):
-        load_io_csv(path, ts=TS)
+    with pytest.raises(ValueError, match=r"line 22: t step 0\.0650001\d* s differs from the first step, ts = 0\.065 s$"):
+        load_io_csv(path)
+
+
+@pytest.mark.parametrize("t1", [0.0, -0.065, float("nan"), float("inf")])
+def test_io_csv_rejects_a_first_step_that_is_not_a_period(tmp_path, t1):
+    rec = make_record(G1, 50, seed=6)
+    path = tmp_path / "run.csv"
+    write_io_csv(path, rec, [0.0, t1] + [k * TS for k in range(2, len(rec))])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: first t step {t1!r} s must be finite and > 0$"):
+        load_io_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [(9, "record too short: 9 samples, need >= 10"), (50, "record contains non-finite samples")])
+def test_io_csv_checks_the_samples_before_the_t_column(tmp_path, rows, message):
+    # a first t step of 0 would be rejected at line 3
+    path = tmp_path / "run.csv"
+    path.write_text("t,u,theta\n" + "0.0,nan,0.0\n" * rows)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        load_io_csv(path)
