@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .plant import SecondOrderTf
+from .plant import SecondOrderTf, check_fields
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,10 @@ class GpiDesign:
     wn: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.xi) and self.xi > 0.0):
+        check_fields(self)
+        if not self.xi > 0.0:
             raise ValueError(f"xi must be > 0, got {self.xi!r}")
-        if not (math.isfinite(self.wn) and self.wn > 0.0):
+        if not self.wn > 0.0:
             raise ValueError(f"wn must be > 0, got {self.wn!r}")
 
 
@@ -53,8 +54,7 @@ class SaturationLimits:
     u_max: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)):
-            raise ValueError("saturation limits must be finite")
+        check_fields(self)
         if not self.u_min < self.u_max:
             raise ValueError(f"u_min must be < u_max, got [{self.u_min!r}, {self.u_max!r}]")
 

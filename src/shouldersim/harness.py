@@ -19,17 +19,15 @@ law and advances the plant by one RK4 step with the applied, saturated command.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
-import numbers
 import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Union, get_args, get_type_hints
+from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -41,7 +39,7 @@ from .gpi import (
     control_step,
     feedforward,
 )
-from .plant import DisturbanceSpec, SecondOrderTf, step as plant_step
+from .plant import DisturbanceSpec, SecondOrderTf, check_fields, field_types, step as plant_step
 from .trajectory import (
     DEFAULT_DT,
     JointLimits,
@@ -79,11 +77,12 @@ class QuinticRef:
     T: float
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.theta0, self.thetaf, self.T))) and self.T > 0.0):
+        check_fields(self)
+        if not self.T > 0.0:
             raise ValueError(f"quintic reference needs finite values and T > 0, got {self!r}")
         if self.T * self.T == 0.0:  # quintic_eval divides by T * T
             raise ValueError(f"quintic reference T = {self.T!r} is too small: T * T underflows to 0")
-        d, T = float(self.thetaf) - float(self.theta0), float(self.T)  # an infinite d is build_reference's to report
+        d, T = self.thetaf - self.theta0, self.T  # an infinite d is build_reference's to report
         if math.isfinite(d) and not (math.isfinite(30.0 * d / T) and math.isfinite(60.0 * d / (T * T))):
             raise ValueError(f"quintic reference T = {T!r} is too small for a {d:.6g} rad move: 30 * d / T or 60 * d / (T * T) overflows")
 
@@ -97,7 +96,8 @@ class SineRef:
     k: float
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.A, self.f, self.k))) and self.A > 0.0):
+        check_fields(self)
+        if not self.A > 0.0:
             raise ValueError(f"sine reference needs finite values and A > 0, got {self!r}")
 
 
@@ -113,8 +113,8 @@ class TeachRef:
     smooth: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.smooth, bool):
-            raise TypeError(f"TeachRef.smooth must be a bool, got {type(self.smooth).__name__}")
+        object.__setattr__(self, "file", os.fspath(self.file) if isinstance(self.file, os.PathLike) else self.file)
+        check_fields(self)
         if not Path(self.file).exists():
             raise ValueError(f"teach file not found: {self.file}")
         object.__setattr__(self, "file", os.path.abspath(self.file))
@@ -129,12 +129,6 @@ class TeachRef:
 ReferenceSpec = Union[QuinticRef, SineRef, TeachRef]
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """Field name -> type of dataclass cls, evaluated from its annotations once."""
-    return get_type_hints(cls)
-
-
 @dataclass(frozen=True)
 class JointConfig:
     plant: SecondOrderTf
@@ -145,12 +139,7 @@ class JointConfig:
     disturbance: Optional[DisturbanceSpec] = None
 
     def __post_init__(self):
-        for name, hint in _field_types(JointConfig).items():
-            accepted = get_args(hint) or (hint,)
-            value = getattr(self, name)
-            if not isinstance(value, accepted):
-                names = " or ".join("None" if t is type(None) else t.__name__ for t in accepted)
-                raise TypeError(f"JointConfig.{name} must be {names}, got {type(value).__name__}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -167,22 +156,20 @@ class Scenario:
     def __post_init__(self):
         # a read-only view of the scenario's own copy: the checked names cannot change later
         object.__setattr__(self, "joints", MappingProxyType(dict(self.joints)))
+        check_fields(self)
         if not self.joints:
             raise ValueError("scenario needs at least one joint")
         for joint, cfg in _checked_names(self.joints).items():
             if not isinstance(cfg, JointConfig):
                 raise TypeError(f"joint {joint} must be a JointConfig, got {type(cfg).__name__}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
-        if not (math.isfinite(self.duration) and self.duration >= self.dt):
+        if not self.duration >= self.dt:
             raise ValueError(f"duration must be >= dt, got {self.duration!r}")
         if not 0.0 <= self.noise_amplitude <= _MAX_NOISE:
             raise ValueError(f"noise amplitude must be in [0, {_MAX_NOISE!r}], got {self.noise_amplitude!r}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool) and self.seed >= 0):
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer is not JSON serializable
-        if not isinstance(self.name, str):
-            raise TypeError(f"Scenario.name must be a str, got {type(self.name).__name__}")
 
     def __reduce__(self):  # a mappingproxy does not pickle: pickle and deepcopy rebuild from a dict
         return type(self), (dict(self.joints), self.dt, self.duration, self.noise_amplitude, self.seed, self.name)
@@ -410,29 +397,30 @@ def scenario_to_dict(obj) -> dict:
 
 
 def _from_dict(cls, d: dict, base_dir):
-    """Build dataclass cls from a JSON object, decoding each field by its type.
+    """Build dataclass cls from a JSON object, decoding each field by its type; a scalar goes to cls as it is.
 
-    A key that is absent takes the field's default. A key that is not a
-    field, a required field (one without a default) that is absent and a
-    value of the wrong JSON type raise ValueError naming the class and key;
-    d itself not being an object raises TypeError, which the caller names.
+    A key that is absent takes the field's default. A key that is not a field, a required field that
+    is absent and a value of the wrong type raise ValueError naming the class and key; d itself not
+    being an object raises TypeError, which the caller names.
     """
     _expect_object(d)
-    names = [f.name for f in fields(cls)]
     for key in d:
-        if key not in names:
+        if key not in field_types(cls):
             raise ValueError(f"{cls.__name__}: unknown field {key!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name in d:
-            t = _field_types(cls)[f.name]
+            t, value = field_types(cls)[f.name], d[f.name]
             try:
-                kwargs[f.name] = _from_dict(t, d[f.name], base_dir) if is_dataclass(t) else _DECODERS[t](d[f.name], base_dir)
+                kwargs[f.name] = _from_dict(t, value, base_dir) if is_dataclass(t) else _DECODERS.get(t, lambda v, _: v)(value, base_dir)
             except TypeError as ex:
                 raise ValueError(f"{cls.__name__}.{f.name}: {ex}") from None
         elif f.default is MISSING:
             raise ValueError(f"{cls.__name__}.{f.name}: required field missing")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as ex:  # check_fields: the CLI prints a ValueError
+        raise ValueError(str(ex)) from None
 
 
 def _expect_object(v) -> dict:
@@ -459,27 +447,9 @@ def _joint_from_dict(joint: str, d, base_dir) -> JointConfig:
         raise ValueError(f"joint {joint}: {ex}") from ex
 
 
-def _scalar(cast, accepts, expected):
-    """Decoder of a JSON scalar: cast(v) if accepts(v), else TypeError."""
-    def decode(v, _):
-        if not accepts(v):
-            raise TypeError(f"expected {expected}, got {v!r}")
-        return cast(v)
-    return decode
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# Field type -> decoder of the field's JSON value, for the fields that are not
-# typed by a dataclass (_from_dict decodes those). JSON ints become floats; an
-# integral float (1.0) is accepted as an int.
+# Field type -> decoder of the field's JSON value, for the fields that are neither
+# scalars (cls checks those) nor typed by a dataclass (_from_dict decodes those).
 _DECODERS = {
-    float: _scalar(float, _is_number, "a number"),
-    int: _scalar(int, lambda v: _is_number(v) and v % 1 == 0, "an integer"),
-    bool: _scalar(bool, lambda v: isinstance(v, bool), "true or false"),
-    str: _scalar(str, lambda v: isinstance(v, str), "a string"),
     ReferenceSpec: _reference_from_dict,
     Optional[DisturbanceSpec]: lambda v, b: None if v is None else _from_dict(DisturbanceSpec, v, b),
     Mapping[str, JointConfig]: lambda v, b: {k: _joint_from_dict(k, c, b) for k, c in _expect_object(v).items()},

@@ -13,9 +13,45 @@ where rho is an additive input disturbance in PWM-% equivalents.
 """
 from __future__ import annotations
 
-import math
+import functools
+import numbers
 from dataclasses import dataclass
 from math import inf
+from typing import Union, get_args, get_origin, get_type_hints
+
+_WORDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string", type(None): "None"}
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> type of dataclass cls, evaluated from its annotations once."""
+    return get_type_hints(cls)
+
+
+@functools.cache
+def _accepted(hint) -> tuple:
+    """The classes that a field typed hint takes (each member of a Union, the origin of a generic), and their wording."""
+    classes = tuple(get_origin(t) or t for t in (get_args(hint) if get_origin(hint) is Union else (hint,)))
+    return classes, " or ".join(_WORDS.get(t, t.__name__) for t in classes)
+
+
+def check_fields(obj) -> None:
+    """Check each field of frozen dataclass obj against its annotation, storing a number as a plain float or int.
+
+    A float field takes a finite real number, an int field an integer or an integral float, neither a bool.
+    """
+    for name, hint in field_types(type(obj)).items():
+        value, where = getattr(obj, name), f"{type(obj).__name__}.{name}"
+        if hint in (float, int) and isinstance(value, numbers.Real) and not isinstance(value, bool) and not (hint is int and value % 1):
+            try:
+                value = hint(value)
+            except OverflowError:  # the message leaves the value out: an int's repr can be too long to print
+                raise ValueError(f"{where} must be finite, got a number too large for a float") from None
+            if not -inf < value < inf:
+                raise ValueError(f"{where} must be finite, got {value!r}")
+            object.__setattr__(obj, name, value)
+        elif hint in (float, int) or not isinstance(value, _accepted(hint)[0]):
+            raise TypeError(f"{where}: expected {_accepted(hint)[1]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,10 +69,7 @@ class SecondOrderTf:
     gamma2: float
 
     def __post_init__(self):
-        for name in ("gamma0", "gamma1", "gamma2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_fields(self)
         if self.gamma0 <= 0.0:
             raise ValueError(f"gamma0 must be > 0, got {self.gamma0!r}")
         if self.gamma1 < 0.0:
@@ -53,9 +86,8 @@ class DisturbanceSpec:
     onset: float
 
     def __post_init__(self):
-        if not math.isfinite(self.magnitude):
-            raise ValueError(f"magnitude must be finite, got {self.magnitude!r}")
-        if not math.isfinite(self.onset) or self.onset < 0.0:
+        check_fields(self)
+        if self.onset < 0.0:
             raise ValueError(f"onset must be >= 0, got {self.onset!r}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import SecondOrderTf, step as plant_step
+from .plant import SecondOrderTf, check_fields, step as plant_step
 from .trajectory import DEFAULT_DT, read_csv_rows
 
 _BIAS_ITERATIONS = 50
@@ -35,15 +35,15 @@ class IoRecord:
     ts: float = DEFAULT_DT
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float)  # a copy: numpy's solvers round differently on strided views
-        theta = np.array(self.theta, dtype=float)
+        u, theta = np.array(self.u, dtype=float), np.array(self.theta, dtype=float)  # copies: numpy's solvers round differently on strided views
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "theta", theta)
+        check_fields(self)
         if u.ndim != 1 or theta.ndim != 1 or len(u) != len(theta):
             raise ValueError(f"u and theta must be equal-length 1-d sequences, got {u.shape} and {theta.shape}")
         if len(u) < 10:
             raise ValueError(f"record too short: {len(u)} samples, need >= 10")
-        if not (math.isfinite(self.ts) and self.ts > 0.0):
+        if not self.ts > 0.0:
             raise ValueError(f"ts must be > 0, got {self.ts!r}")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(theta))):
             raise ValueError("record contains non-finite samples")

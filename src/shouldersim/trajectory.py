@@ -16,6 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .plant import check_fields
+
 DEFAULT_DT = 0.065
 
 
@@ -27,8 +29,7 @@ class JointLimits:
     theta_max: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
-            raise ValueError("joint limits must be finite")
+        check_fields(self)
         if not self.theta_min < self.theta_max:
             raise ValueError(
                 f"theta_min must be < theta_max, got [{self.theta_min!r}, {self.theta_max!r}]"

@@ -189,7 +189,7 @@ def test_run_rejects_non_finite_noise(tmp_path, capsys):
     rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:") and "noise amplitude" in err
+    assert err == "error: Scenario.noise_amplitude must be finite, got inf\n"
 
 
 def test_run_rejects_a_noise_amplitude_whose_range_overflows(tmp_path, capsys):
@@ -526,6 +526,13 @@ def _edit_fe(part, **changes):
 def test_run_names_the_joint_of_a_scenario_error(tmp_path, capsys, edit, message):
     err = run_edited_scenario(tmp_path, capsys, edit, name="reach_q5").err
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_integer_too_large_for_a_float(tmp_path, capsys):
+    # json reads the 401-digit gamma0 as a Python int, which float() cannot hold
+    err = run_edited_scenario(tmp_path, capsys, _edit_joint("plant", gamma0=10**400)).err
+    assert err == "error: joint abad: SecondOrderTf.gamma0 must be finite, got a number too large for a float\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
 from unittest import mock
@@ -48,7 +49,7 @@ from shouldersim.harness import (
     scenario_to_dict,
     write_artifacts,
 )
-from shouldersim.plant import step
+from shouldersim.plant import field_types, step
 from shouldersim.plotting import render_svg
 from shouldersim.trajectory import DEFAULT_DT, quintic_eval
 
@@ -84,9 +85,9 @@ def test_scenario_validation():
         default_scenario(ref, duration=0.01)
     with pytest.raises(ValueError):
         default_scenario(ref, noise_amplitude=-0.1)
-    # bool is an Integral, but the JSON decoder refuses it, so the constructor does too
+    # bool is an Integral, but no seed: the constructor refuses it with the JSON decoder's words
     for seed in (True, False):
-        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        with pytest.raises(TypeError, match=f"^Scenario.seed: expected an integer, got {seed}$"):
             default_scenario(ref, seed=seed)
     # nan < 0 is False, so a sign check alone would let these through
     for bad in (math.nan, math.inf):
@@ -110,7 +111,7 @@ ABAD_JOINT = default_scenario(QuinticRef(0.1745, 0.6981, 10.0)).joints["abad"]
 
 
 @pytest.mark.parametrize(
-    "changes, message",
+    "changes, case",
     [
         ({"plant": None}, "JointConfig.plant must be SecondOrderTf, got NoneType"),
         ({"design": (0.9, 6.1)}, "JointConfig.design must be GpiDesign, got tuple"),
@@ -120,7 +121,11 @@ ABAD_JOINT = default_scenario(QuinticRef(0.1745, 0.6981, 10.0)).joints["abad"]
         ({"disturbance": 5.0}, "JointConfig.disturbance must be DisturbanceSpec or None, got float"),
     ],
 )
-def test_joint_config_rejects_a_field_of_another_type(changes, message):
+def test_joint_config_rejects_a_field_of_another_type(changes, case):
+    # a case reads as the rule and the type of the wrong value; the message shows the value itself
+    field, expected, got = re.fullmatch(r"JointConfig\.(\w+) must be (.+), got (\w+)", case).groups()
+    assert type(changes[field]).__name__ == got
+    message = f"JointConfig.{field}: expected {expected}, got {changes[field]!r}"
     with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
         dataclasses.replace(ABAD_JOINT, **changes)
 
@@ -134,11 +139,43 @@ def test_scenario_rejects_a_joint_that_is_not_a_joint_config():
 
 def test_scenario_and_teach_ref_reject_what_load_scenario_would_reject(tmp_path):
     # save_scenario would write them, and load_scenario refuse the file
-    with pytest.raises(TypeError, match=r"^Scenario.name must be a str, got int$"):
+    with pytest.raises(TypeError, match=r"^Scenario.name: expected a string, got 5$"):
         Scenario(joints={"abad": ABAD_JOINT}, name=5)
     demo = str(_write_demo(tmp_path / "demo.csv", scale=1.0))
-    with pytest.raises(TypeError, match=r"^TeachRef.smooth must be a bool, got int$"):
+    with pytest.raises(TypeError, match=r"^TeachRef.smooth: expected true or false, got 1$"):
         TeachRef(file=demo, smooth=1)
+
+
+def test_a_numpy_float_plant_runs_and_is_saved_as_a_python_float(tmp_path):
+    # np.float32 times a Python float stays np.float32: held as such, it ran part of the law in float32
+    s = load_scenario(bundled("reach_q1"))
+
+    def with_abad_gamma0(g0):
+        joint = s.joints["abad"]
+        abad = dataclasses.replace(joint, plant=dataclasses.replace(joint.plant, gamma0=g0))
+        return dataclasses.replace(s, joints={**s.joints, "abad": abad})
+
+    single, double = with_abad_gamma0(np.float32(0.0005725)), with_abad_gamma0(float(np.float32(0.0005725)))
+    assert type(single.joints["abad"].plant.gamma0) is float
+    a, b = run_scenario(single).series["abad"], run_scenario(double).series["abad"]
+    assert a.theta_meas.tobytes() == b.theta_meas.tobytes() and a.u.tobytes() == b.u.tobytes()
+    assert load_scenario(save_scenario(single, tmp_path / "s.json")) == single
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (lambda big: SecondOrderTf(big, 0.1, 0.1), "SecondOrderTf.gamma0"),
+        (lambda big: GpiDesign(0.9, big), "GpiDesign.wn"),
+        (lambda big: QuinticRef(0.0, big, 5.0), "QuinticRef.thetaf"),
+    ],
+)
+@pytest.mark.parametrize("big", [10**400, 10**5000], ids=["400-digits", "5000-digits"])
+def test_an_integer_too_large_for_a_float_is_a_value_error_naming_the_field(build, where, big):
+    # 10**5000 has too many digits for Python to print: the message leaves the value out
+    message = f"{where} must be finite, got a number too large for a float"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build(big)
 
 
 def test_a_numpy_integer_seed_is_saved_loaded_and_run_as_an_int(tmp_path):
@@ -794,62 +831,85 @@ def _finite(lo=None, hi=None):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-_POSITIVE = _finite(1e-6, 1e6)
+def _number(lo=None, hi=None):
+    """A finite float in [lo, hi] as a float, an np.float64, an np.float32 or a rounded int; now and then a bool.
+
+    A float32 or an int may fall outside [lo, hi] and a bool is no number: the constructors decide.
+    """
+    x = _finite(lo, hi)
+    forms = st.one_of(x, x.map(np.float64), x.filter(lambda v: abs(v) < 1e38).map(np.float32), x.map(round))
+    return st.integers(0, 39).flatmap(lambda k: st.booleans() if k == 0 else forms)
 
 
-def _quintic_or_reject(theta0, thetaf, T):
-    try:
-        return QuinticRef(theta0, thetaf, T)
-    except ValueError:
-        reject()  # T is too short for the move, so the constructor refuses it and there is no file
+_POSITIVE = _number(1e-6, 1e6)
+
+
+def _built(cls, *args, **kwargs):
+    """st.builds(cls, ...), with the draw rejected where the constructor refuses it: there is no file."""
+    def build(*a, **kw):
+        try:
+            return cls(*a, **kw)
+        except (TypeError, ValueError):
+            reject()
+    return st.builds(build, *args, **kwargs)
 
 
 def _interval(cls):
-    return st.builds(lambda lo, width: cls(lo, lo + width), _finite(-1e3, 1e3), _finite(1e-3, 1e3))
+    return _built(lambda lo, width: cls(lo, lo + width), _number(-1e3, 1e3), _number(1e-3, 1e3))
 
 
+_DEMO = (presets.scenario_dir() / "taught_demo.csv").resolve()
 _JOINTS = st.builds(
     JointConfig,
-    plant=st.builds(SecondOrderTf, _POSITIVE, _finite(0.0, 1e6), _POSITIVE),
-    design=st.builds(GpiDesign, _POSITIVE, _POSITIVE),
+    plant=_built(SecondOrderTf, _POSITIVE, _number(0.0, 1e6), _POSITIVE),
+    design=_built(GpiDesign, _POSITIVE, _POSITIVE),
     limits=_interval(JointLimits),
     saturation=_interval(SaturationLimits),
     reference=st.one_of(
-        st.builds(_quintic_or_reject, _finite(), _finite(), _POSITIVE),
-        st.builds(SineRef, _POSITIVE, _finite(), _finite()),
-        st.builds(
-            TeachRef,
-            st.just(str((presets.scenario_dir() / "taught_demo.csv").resolve())),
-            st.booleans(),
-        ),
+        _built(QuinticRef, _number(), _number(), _POSITIVE),
+        _built(SineRef, _POSITIVE, _number(), _number()),
+        st.builds(TeachRef, st.sampled_from([str(_DEMO), _DEMO]), st.booleans()),
     ),
-    disturbance=st.none() | st.builds(DisturbanceSpec, _finite(), _finite(0.0, 1e6)),
+    disturbance=st.none() | _built(DisturbanceSpec, _number(), _number(0.0, 1e6)),
 )
 
 
 def _scenario_or_none(joints, dt, extra, **kw):
     try:
         return Scenario(joints=joints, dt=dt, duration=dt + extra, **kw)
-    except ValueError:
+    except (TypeError, ValueError):
         return None  # the constructor refused it, so there is no file to round-trip
 
 
 _SCENARIOS = st.builds(
     _scenario_or_none,
     joints=st.dictionaries(st.sampled_from(["abad", "fe"]), _JOINTS, min_size=1),
-    dt=_finite(1e-4, 1.0),
-    extra=_finite(0.0, 1e3),
-    noise_amplitude=_finite(0.0, 1.0),
-    seed=st.integers(0, 2**63) | st.booleans(),
+    dt=_number(1e-4, 1.0),
+    extra=_number(0.0, 1e3),
+    noise_amplitude=_number(0.0, 1.0),
+    seed=st.integers(0, 2**63) | st.integers(0, 2**63 - 1).map(np.int64) | st.integers(0, 2**32 - 1).map(np.uint32)
+    | st.booleans(),
     name=st.text(max_size=20),
 )
+
+
+def _numbers(spec):
+    """(where, annotation, value) of each float or int field of a spec and of the specs inside it."""
+    for name, hint in field_types(type(spec)).items():
+        value = getattr(spec, name)
+        if hint in (float, int):
+            yield f"{type(spec).__name__}.{name}", hint, value
+        for inner in value.values() if isinstance(value, Mapping) else [value]:
+            if dataclasses.is_dataclass(inner):
+                yield from _numbers(inner)
 
 
 @settings(deadline=None)
 @given(_SCENARIOS)
 def test_scenario_json_round_trip(s):
-    # if the constructor accepts a scenario, its file round-trips
+    # if the constructor accepts a scenario, it holds plain numbers and its file round-trips
     assume(s is not None)
+    assert [(where, type(value)) for where, hint, value in _numbers(s) if type(value) is not hint] == []
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
 
 

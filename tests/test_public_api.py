@@ -2,9 +2,12 @@
 
 The root exports what a user calls. The per-tick and per-array layers (the
 control law, the plant step, the reference samplers) are importable from
-their modules only, so they can change without changing this list.
+their modules only, so they can change without changing this list. Every
+spec dataclass checks its fields where it is built.
 """
 import ast
+import dataclasses
+import importlib
 import os
 import re
 import subprocess
@@ -12,7 +15,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import shouldersim
+from shouldersim import presets
+from shouldersim.plant import field_types
 
 PUBLIC_NAMES = [
     "DEFAULT_DT", "DisturbanceSpec", "GpiDesign", "IoRecord", "JointConfig", "JointLimits", "JointSeries",
@@ -25,7 +33,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # module -> the package modules it imports; the layers below a module never import it
 LAYERS = {
     "plant": set(),
-    "trajectory": set(),
+    "trajectory": {"plant"},
     "kinematics": set(),
     "plotting": set(),
     "gpi": {"plant"},
@@ -91,3 +99,55 @@ def test_package_imports_one_way():
     package = Path(shouldersim.__file__).resolve().parent
     imports = {path.stem: package_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert imports == LAYERS
+
+
+def _reach_q1():
+    return shouldersim.load_scenario(presets.scenario_dir() / "reach_q1.json")
+
+
+# class name -> a valid instance of it
+EXAMPLES = {
+    "SecondOrderTf": lambda: presets.ABAD_PLANT,
+    "DisturbanceSpec": lambda: shouldersim.DisturbanceSpec(magnitude=5.0, onset=10.0),
+    "GpiDesign": lambda: presets.ABAD_DESIGN,
+    "SaturationLimits": lambda: presets.DEFAULT_SATURATION,
+    "JointLimits": lambda: presets.ABAD_LIMITS,
+    "QuinticRef": lambda: shouldersim.QuinticRef(0.1745, 0.6981, 10.0),
+    "SineRef": lambda: shouldersim.SineRef(1.0, 1.6e-3, 300.0),
+    "TeachRef": lambda: shouldersim.TeachRef(file=presets.scenario_dir() / "taught_demo.csv"),
+    "JointConfig": lambda: _reach_q1().joints["abad"],
+    "Scenario": _reach_q1,
+    "IoRecord": lambda: shouldersim.IoRecord(u=np.linspace(0.0, 1.0, 10), theta=np.zeros(10)),
+}
+# fields that the constructor converts before it checks them: a list of pairs, a sequence of samples
+CONVERTED_FIRST = {("Scenario", "joints"), ("IoRecord", "u"), ("IoRecord", "theta")}
+
+
+def spec_classes() -> list:
+    """Every frozen dataclass defined in a shouldersim module."""
+    package = Path(shouldersim.__file__).resolve().parent
+    modules = [importlib.import_module(f"shouldersim.{path.stem}") for path in sorted(package.glob("*.py"))]
+    return sorted(
+        {
+            value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen
+        },
+        key=lambda cls: cls.__name__,
+    )
+
+
+@pytest.mark.parametrize("cls", spec_classes(), ids=lambda cls: cls.__name__)
+def test_every_spec_dataclass_checks_its_fields(cls):
+    # a new spec class needs an example here, so it cannot skip check_fields unnoticed
+    assert cls.__name__ in EXAMPLES, f"no example of {cls.__name__} in EXAMPLES"
+    example = EXAMPLES[cls.__name__]()
+    for name, hint in field_types(cls).items():
+        if hint is float:
+            single = dataclasses.replace(example, **{name: np.float32(getattr(example, name))})
+            assert type(getattr(single, name)) is float
+            with pytest.raises(TypeError, match=f"^{cls.__name__}.{name}: expected a number, got True$"):
+                dataclasses.replace(example, **{name: True})
+        elif (cls.__name__, name) not in CONVERTED_FIRST:
+            with pytest.raises(TypeError, match=f"^{cls.__name__}.{name}: expected .+, got 1j$"):
+                dataclasses.replace(example, **{name: 1j})

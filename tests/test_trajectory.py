@@ -72,9 +72,11 @@ def test_quintic_eval_holds_beyond_duration():
 
 
 def test_quintic_rejects_bad_duration():
-    for T in (0.0, -3.0, math.nan):
+    for T in (0.0, -3.0):
         with pytest.raises(ValueError, match="T > 0"):
             QuinticRef(0.0, 1.0, T)
+    with pytest.raises(ValueError, match="^QuinticRef.T must be finite, got nan$"):
+        QuinticRef(0.0, 1.0, math.nan)
 
 
 def test_quintic_boundary_residuals_property():
